@@ -183,20 +183,24 @@ def _solve(field, x0, grid, solver, recorder=None):
 
 
 def cmd_sample(args) -> int:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    if args.shift < 1.0:
+        raise UsageError(f"--shift must be >= 1, got {args.shift}")
+    if args.cfg_w < 0.0:
+        raise UsageError(f"--cfg-w must be >= 0, got {args.cfg_w}")
+    if args.num < 2:
+        raise UsageError(f"--num must be >= 2 (the MMD needs two samples), got {args.num}")
+    a, b = args.cfg_interval
+    if not 0.0 <= a <= b <= 1.0:
+        raise UsageError(f"--cfg-interval needs 0 <= a <= b <= 1, got {a} {b}")
+
     model_config, arrays = load_checkpoint(args.checkpoint)
     model = DDTModel.from_arrays(
         model_config,
         {k: v for k, v in arrays.items()
          if not k.startswith("opt.") and k != "train.step"})
     inputs = [args.checkpoint]
-
-    if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    if args.shift <= 0:
-        raise UsageError(f"--shift must be > 0, got {args.shift}")
-    a, b = args.cfg_interval
-    if not 0.0 <= a <= b <= 1.0:
-        raise UsageError(f"--cfg-interval needs 0 <= a <= b <= 1, got {a} {b}")
 
     # w == 1 is the neutral setting: guidance fully disabled, one branch
     guidance = None
@@ -282,6 +286,8 @@ def cmd_sample(args) -> int:
 def cmd_plan(args) -> int:
     if (args.similarity is None) == (args.checkpoint is None):
         raise UsageError("provide exactly one of --similarity or --checkpoint")
+    if args.probe_size < 1:
+        raise UsageError(f"--probe-size must be >= 1, got {args.probe_size}")
     inputs = []
 
     if args.similarity is not None:
@@ -434,11 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--steps", type=int, default=50,
                           help="ODE steps N")
     p_sample.add_argument("--shift", type=float, default=1.0,
-                          help="timeshift parameter s (1 = uniform grid)")
+                          help="timeshift parameter s >= 1 (1 = uniform grid)")
     p_sample.add_argument("--solver", choices=sorted(SOLVER_ORDERS),
                           default="euler")
     p_sample.add_argument("--cfg-w", type=float, default=1.0,
-                          help="guidance strength (1 disables guidance)")
+                          help="guidance strength w >= 0 (1 disables guidance)")
     p_sample.add_argument("--cfg-interval", type=float, nargs=2,
                           default=[0.3, 1.0], metavar=("A", "B"),
                           help="apply guidance only for t in [A, B]")
@@ -447,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--share-ratio", type=float, default=None,
                           help="build a uniform plan with K = ceil(N*(1-r))")
     p_sample.add_argument("--num", type=int, default=64,
-                          help="number of samples")
+                          help="number of samples (>= 2)")
     p_sample.add_argument("--dataset", default="bandlimited",
                           help="held-out dataset for the eval report")
     p_sample.add_argument("--out", default="runs/sample")

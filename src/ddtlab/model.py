@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError
-from .numcore import Tensor, concat, silu, gelu_tanh, softmax
+from .numcore import NORM_EPS, Tensor, gelu_tanh, linear, rms_norm, rope, silu, softmax
 from .rng import substream
 
 __all__ = [
@@ -216,21 +216,13 @@ def unpatchify(tokens, patch_size: int, channels: int):
 # normalization and modulation
 # ---------------------------------------------------------------------------
 
-_NORM_EPS = 1e-6
-
-
 def layer_norm(x: Tensor) -> Tensor:
     """Non-affine layer normalization over the last axis (AdaLN supplies
     the scale and shift)."""
     m = x.mean(axis=-1, keepdims=True)
     d = x - m
     var = (d * d).mean(axis=-1, keepdims=True)
-    return d / (var + _NORM_EPS).sqrt()
-
-
-def rms_norm(x: Tensor) -> Tensor:
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x / (ms + _NORM_EPS).sqrt()
+    return d / (var + NORM_EPS).sqrt()
 
 
 def adaln_modulate(h: Tensor, cond: Tensor, weight: Tensor, bias: Tensor,
@@ -246,7 +238,7 @@ def adaln_modulate(h: Tensor, cond: Tensor, weight: Tensor, bias: Tensor,
     if weight.shape[0] != (cond.shape[-1] if cond.ndim else 0):
         raise ValueError(f"conditioning dim {cond.shape} does not match "
                          f"modulation weight {weight.shape}")
-    m = silu(cond) @ weight + bias
+    m = linear(silu(cond), weight, bias)
     if m.ndim == h.ndim - 1:
         m = m.reshape(m.shape[0], 1, m.shape[-1])
     shift, scale, gate = m.chunk(3, axis=-1)
@@ -477,16 +469,16 @@ class DDTModel:
 
     # -- small layers ------------------------------------------------------------
 
-    def _linear(self, x: Tensor, prefix: str) -> Tensor:
-        return x @ self.params[f"{prefix}.w"] + self.params[f"{prefix}.b"]
+    def _linear(self, x: Tensor, prefix: str, w: str = "w", b: str = "b") -> Tensor:
+        return linear(x, self.params[f"{prefix}.{w}"], self.params[f"{prefix}.{b}"])
 
     def _norm(self, x: Tensor) -> Tensor:
         return rms_norm(x) if self.config.block_style == "improved" else layer_norm(x)
 
     def _timestep_embedding(self, t_vec: np.ndarray) -> Tensor:
         feats = Tensor(_sinusoidal(t_vec, self.config.hidden_dim))
-        h = silu(feats @ self.params["t_mlp.w1"] + self.params["t_mlp.b1"])
-        return h @ self.params["t_mlp.w2"] + self.params["t_mlp.b2"]
+        h = silu(self._linear(feats, "t_mlp", "w1", "b1"))
+        return self._linear(h, "t_mlp", "w2", "b2")
 
     def _label_embedding(self, y_vec: np.ndarray) -> Tensor:
         return self.params["y_embed.table"].take_rows(y_vec)
@@ -496,37 +488,26 @@ class DDTModel:
         b, n, _ = h.shape
         nh, dh = cfg.heads, cfg.hidden_dim // cfg.heads
         qkv = self._linear(h, f"{prefix}.attn.qkv")
-        qkv = qkv.reshape(b, n, 3, nh, dh).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv.chunk(3, axis=0)
-        q = q.reshape(b, nh, n, dh)
-        k = k.reshape(b, nh, n, dh)
-        v = v.reshape(b, nh, n, dh)
+        # [b, n, (3, nh, dh)] -> [b, 3*nh, n, dh]: q, k, v are the head thirds
+        qkv = qkv.reshape(b, n, 3 * nh, dh).transpose(0, 2, 1, 3)
+        q, k, v = qkv.chunk(3, axis=1)
         if cfg.block_style == "improved":
-            q = self._rope(q)
-            k = self._rope(k)
+            cos, sin = _rope_tables(n, dh)
+            q = rope(q, cos, sin)
+            k = rope(k, cos, sin)
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
         attn = softmax(scores, axis=-1)
         out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.hidden_dim)
         return self._linear(out, f"{prefix}.attn.proj")
 
-    def _rope(self, x: Tensor) -> Tensor:
-        cfg = self.config
-        half = (cfg.hidden_dim // cfg.heads) // 2
-        cos_t, sin_t = _rope_tables(cfg.num_tokens, cfg.hidden_dim // cfg.heads)
-        cos = Tensor(cos_t)
-        sin = Tensor(sin_t)
-        x1 = x.narrow(-1, 0, half)
-        x2 = x.narrow(-1, half, half)
-        return concat([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
-
     def _mlp(self, h: Tensor, prefix: str) -> Tensor:
-        p = self.params
+        mlp = f"{prefix}.mlp"
         if self.config.block_style == "baseline":
-            mid = gelu_tanh(h @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"])
+            mid = gelu_tanh(self._linear(h, mlp, "w1", "b1"))
         else:
-            gate = silu(h @ p[f"{prefix}.mlp.wg"] + p[f"{prefix}.mlp.bg"])
-            mid = gate * (h @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"])
-        return mid @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
+            gate = silu(self._linear(h, mlp, "wg", "bg"))
+            mid = gate * self._linear(h, mlp, "w1", "b1")
+        return self._linear(mid, mlp, "w2", "b2")
 
     def _block(self, h: Tensor, cond: Tensor, prefix: str) -> Tensor:
         p = self.params
@@ -545,6 +526,8 @@ class DDTModel:
             raise ValueError(f"input shape {xt.shape[1:]} does not match config "
                              f"({cfg.channels},{cfg.image_size},{cfg.image_size})")
         tok = patchify(xt, cfg.patch_size)
+        # a batched 3-D matmul, not linear(): at zero init z must equal
+        # numpy's tokens @ W + b bit for bit, and a flattened GEMM need not
         tok = tok @ self.params[f"{stack}.embed.w"] + self.params[f"{stack}.embed.b"]
         if cfg.block_style == "baseline":
             tok = tok + self.params[f"{stack}.pos"]
@@ -600,11 +583,10 @@ class DDTModel:
         h = tok
         for i in range(cfg.decoder_layers):
             h = self._block(h, cond, f"dec.b{i}")
-        p = self.params
-        m = silu(cond) @ p["final.mod.w"] + p["final.mod.b"]
+        m = self._linear(silu(cond), "final.mod")
         shift, scale = m.chunk(2, axis=-1)
         h = shift + (1.0 + scale) * self._norm(h)
-        out = h @ p["final.proj.w"] + p["final.proj.b"]
+        out = self._linear(h, "final.proj")
         v = unpatchify(out, cfg.patch_size, cfg.channels)
         self.nfe_decoder += 1
         if isinstance(x_t, Tensor):
@@ -628,9 +610,8 @@ class DDTModel:
 
     def project_alignment(self, h_align: Tensor) -> Tensor:
         """Trainable head h_phi mapping encoder tokens to teacher space."""
-        p = self.params
-        mid = silu(h_align @ p["halign.w1"] + p["halign.b1"])
-        return mid @ p["halign.w2"] + p["halign.b2"]
+        mid = silu(self._linear(h_align, "halign", "w1", "b1"))
+        return self._linear(mid, "halign", "w2", "b2")
 
 
 def encoder_forward(model: DDTModel, x_t, t, y):

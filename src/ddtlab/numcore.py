@@ -6,6 +6,19 @@ its parents and a closure that routes the incoming gradient to them.
 node is visited exactly once and cycles are impossible by construction
 (tensors only ever point at tensors that already existed).
 
+The transformer's hot paths are single nodes with hand-written backward
+passes rather than compositions of elementwise nodes:
+
+  linear(x, w, b)   x @ w + b with the batch axes flattened, so the
+                    forward, input-gradient and weight-gradient products
+                    are each one 2-D GEMM
+  rms_norm(x)       x / sqrt(mean(x^2) + eps) over the last axis
+  rope(x, cos, sin) rotary position embedding of the two half-vectors
+  softmax(x)        max-shifted softmax
+  silu(x)           x * sigmoid(x)
+  Tensor.chunk      equal slices whose gradients land in one shared
+                    parent buffer
+
 Also home to two numeric primitives used across the package: the
 orthonormal type-II DCT (direct O(n^2) matrix product, plenty at desk
 scale) and cosine similarity with a documented degenerate-input rule.
@@ -25,6 +38,11 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "concat",
+    "linear",
+    "rms_norm",
+    "rope",
+    "silu",
+    "softmax",
     "dct_ortho",
     "idct_ortho",
     "dct_matrix",
@@ -71,8 +89,13 @@ class Tensor:
     """Dense n-dimensional float64 array, optionally tracked by autodiff.
 
     Data is immutable by convention after construction; the documented
-    exceptions are gradient accumulation into ``grad`` and in-place
-    parameter updates performed by the optimizer between steps.
+    exception is the in-place parameter update the optimizer performs
+    between steps.
+
+    Gradient rule: backward hands gradient arrays around without copying.
+    A ``grad`` may be the very array another node holds as its gradient,
+    or a read-only broadcast view, so nothing may write into a ``grad``
+    in place. Accumulation replaces it with a fresh sum instead.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -129,10 +152,11 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # never `+=`: the held array may be shared (see the class docstring)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     # -- autodiff ---------------------------------------------------------------
 
@@ -243,6 +267,9 @@ class Tensor:
             if other.requires_grad:
                 if self.ndim == 1:
                     gb = np.outer(self.data, g)
+                elif other.ndim == 2:
+                    # one 2-D GEMM over the flattened batch, not B of them
+                    gb = self.data.reshape(-1, self.shape[-1]).T @ g.reshape(-1, g.shape[-1])
                 else:
                     gb = np.swapaxes(self.data, -1, -2) @ g
                 other._accumulate(_unbroadcast(gb, other.shape))
@@ -258,10 +285,10 @@ class Tensor:
             if not self.requires_grad:
                 return
             if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
+                self._accumulate(np.broadcast_to(g, self.shape))
             else:
                 gk = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(gk, self.shape).copy())
+                self._accumulate(np.broadcast_to(gk, self.shape))
 
         return Tensor._node(out_data, (self,), backward)
 
@@ -298,9 +325,7 @@ class Tensor:
 
     def narrow(self, axis: int, start: int, length: int):
         """Contiguous slice along one axis; backward zero-pads."""
-        index = [slice(None)] * self.ndim
-        index[axis] = slice(start, start + length)
-        index = tuple(index)
+        index = _window(self.ndim, axis, start, length)
         out_data = self.data[index]
 
         def backward(g):
@@ -312,12 +337,37 @@ class Tensor:
         return Tensor._node(out_data, (self,), backward)
 
     def chunk(self, n: int, axis: int = -1) -> list["Tensor"]:
+        """n equal slices along an axis.
+
+        The slices hang off one hidden node that owns a single parent-sized
+        gradient buffer: each slice writes its gradient into its own window
+        of that buffer, and the hidden node, which backward reaches after
+        every slice, hands the whole buffer to this tensor once.
+        """
         ax = axis if axis >= 0 else self.ndim + axis
         width = self.shape[ax]
         if width % n != 0:
             raise ValueError(f"cannot split axis of size {width} into {n} chunks")
         step = width // n
-        return [self.narrow(ax, i * step, step) for i in range(n)]
+        windows = [_window(self.ndim, ax, i * step, step) for i in range(n)]
+        if not (_GRAD_ENABLED and self.requires_grad):
+            return [Tensor(self.data[index]) for index in windows]
+
+        def hub_backward(g):
+            self._accumulate(g)
+
+        hub = Tensor._node(self.data, (self,), hub_backward)
+
+        def piece(index):
+            def backward(g):
+                # the buffer is created here and only slices write to it
+                if hub.grad is None:
+                    hub.grad = np.zeros(hub.shape)
+                hub.grad[index] = g
+
+            return Tensor._node(self.data[index], (hub,), backward)
+
+        return [piece(index) for index in windows]
 
     def take_rows(self, indices: np.ndarray):
         """Row gather (embedding lookup); backward scatter-adds."""
@@ -369,6 +419,12 @@ class Tensor:
                 self._accumulate(g * out_data * (1.0 - out_data))
 
         return Tensor._node(out_data, (self,), backward)
+
+
+def _window(ndim: int, axis: int, start: int, length: int) -> tuple:
+    index = [slice(None)] * ndim
+    index[axis] = slice(start, start + length)
+    return tuple(index)
 
 
 def topological_order(root: Tensor) -> list[Tensor]:
@@ -475,16 +531,92 @@ def cosine_similarity(a, b, warn: bool = True) -> float:
     return max(-1.0, min(1.0, value))
 
 
+# ---------------------------------------------------------------------------
+# fused nodes (one graph node each, hand-written backward)
+# ---------------------------------------------------------------------------
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x of shape [..., d_in] and w of shape [d_in, d_out].
+
+    The batch axes are flattened, so the forward product and both
+    gradient products are single 2-D GEMMs."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = x2 @ w.data
+    out += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    return Tensor._node(out.reshape(*x.shape[:-1], w.shape[-1]), (x, w, b), backward)
+
+
+# added under the square root of every normalization
+NORM_EPS = 1e-6
+
+
+def rms_norm(x: Tensor) -> Tensor:
+    """x / sqrt(mean(x^2) + eps) over the last axis, without affine terms."""
+    n = x.shape[-1]
+    root = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) * (1.0 / n) + NORM_EPS)
+    out = x.data / root
+
+    def backward(g):
+        if x.requires_grad:
+            gy = (g * out).sum(axis=-1, keepdims=True) * (1.0 / n)
+            x._accumulate((g - out * gy) / root)
+
+    return Tensor._node(out, (x,), backward)
+
+
+def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary embedding: the halves (x1, x2) of the last axis become
+    (x1*cos - x2*sin, x1*sin + x2*cos); cos/sin broadcast against a half."""
+    half = x.shape[-1] // 2
+    x1, x2 = x.data[..., :half], x.data[..., half:]
+    out = np.empty_like(x.data)
+    out[..., :half] = x1 * cos - x2 * sin
+    out[..., half:] = x1 * sin + x2 * cos
+
+    def backward(g):
+        if x.requires_grad:
+            g1, g2 = g[..., :half], g[..., half:]
+            gx = np.empty_like(out)
+            gx[..., :half] = g1 * cos + g2 * sin
+            gx[..., half:] = g2 * cos - g1 * sin
+            x._accumulate(gx)
+
+    return Tensor._node(out, (x,), backward)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; the max shift is a detached constant,
-    which is exact because softmax is shift invariant."""
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax; the max shift is exact because softmax
+    is shift invariant."""
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(out * (g - (g * out).sum(axis=axis, keepdims=True)))
+
+    return Tensor._node(out, (x,), backward)
 
 
 def silu(x: Tensor) -> Tensor:
-    return x * x.sigmoid()
+    sig = 1.0 / (1.0 + np.exp(-x.data))
+    out = x.data * sig
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * (sig * (1.0 + x.data * (1.0 - sig))))
+
+    return Tensor._node(out, (x,), backward)
 
 
 def gelu_tanh(x: Tensor) -> Tensor:

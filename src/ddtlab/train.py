@@ -160,13 +160,27 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, in the operation order of the out-of-place update
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+            # so a resumed run stays bit-exact
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            gg = (1.0 - b2) * g
+            gg *= g
+            v += gg
+            denom = np.sqrt(v / bc2)
+            denom += self.eps
+            update = m / bc1
+            update *= self.lr
+            update /= denom
+            p.data -= update
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """The live moment arrays (the next step updates them in place,
+        like the parameters), keyed for a checkpoint."""
         out = {f"opt.m.{k}": v for k, v in self.m.items()}
         out.update({f"opt.v.{k}": v for k, v in self.v.items()})
         out["opt.step"] = np.array(float(self.step_count))

@@ -234,6 +234,19 @@ def test_sample_divergent_model_exits_4(tmp_path):
                  "--num", "4", "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("sample", ["--shift", "0.5"]),
+    ("sample", ["--cfg-w", "-1"]),
+    ("sample", ["--num", "1"]),
+    ("plan", ["--probe-size", "0", "--budget", "2"]),
+])
+def test_out_of_range_argument_exits_2(tmp_path, tiny_ckpt, capsys, command, flags):
+    assert main([command, "--checkpoint", str(tiny_ckpt), "--steps", "4",
+                 *flags, "--out", str(tmp_path / "o")]) == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_solver_exits_2(tmp_path, tiny_ckpt):
     assert main(["sample", "--checkpoint", str(tiny_ckpt),
                  "--solver", "heun", "--out", str(tmp_path / "o")]) == 2

@@ -20,7 +20,10 @@ from ddtlab.numcore import (
     dct_ortho,
     gelu_tanh,
     idct_ortho,
+    linear,
     no_grad,
+    rms_norm,
+    rope,
     silu,
     softmax,
 )
@@ -173,6 +176,70 @@ class TestAutodiff:
         y = (x * 2.0).detach()
         z = (y * 3.0).sum()
         assert not z.requires_grad
+
+
+class TestFusedOps:
+    """Each single-node op against finite differences of its own forward."""
+
+    def test_linear_2d(self):
+        x = RNG.standard_normal((5, 4))
+        w = RNG.standard_normal((4, 3))
+        b = RNG.standard_normal(3)
+        check_grads(lambda x, w, b: (linear(x, w, b) ** 2.0).sum(), [x, w, b])
+
+    def test_linear_3d(self):
+        x = RNG.standard_normal((2, 3, 4))
+        w = RNG.standard_normal((4, 5))
+        b = RNG.standard_normal(5)
+        check_grads(lambda x, w, b: (linear(x, w, b) ** 2.0).sum(), [x, w, b])
+        np.testing.assert_allclose(linear(Tensor(x), Tensor(w), Tensor(b)).data,
+                                   x @ w + b, rtol=1e-13, atol=1e-13)
+
+    def test_rms_norm(self):
+        x = RNG.standard_normal((2, 3, 6))
+        k = RNG.standard_normal((2, 3, 6))
+        check_grads(lambda x: (rms_norm(x) * Tensor(k)).sum(), [x])
+
+    def test_silu(self):
+        x = RNG.standard_normal((3, 5)) * 3.0
+        k = RNG.standard_normal((3, 5))
+        check_grads(lambda x: (silu(x) * Tensor(k)).sum(), [x])
+
+    def test_softmax(self):
+        x = RNG.standard_normal((2, 3, 5))
+        k = RNG.standard_normal((2, 3, 5))
+        check_grads(lambda x: (softmax(x, axis=-1) * Tensor(k)).sum(), [x])
+        check_grads(lambda x: (softmax(x, axis=1) * Tensor(k)).sum(), [x])
+
+    def test_rope(self):
+        x = RNG.standard_normal((2, 3, 4, 6))
+        k = RNG.standard_normal((2, 3, 4, 6))
+        angles = RNG.uniform(0.0, 2.0 * np.pi, (4, 3))
+        cos, sin = np.cos(angles), np.sin(angles)
+        check_grads(lambda x: (rope(x, cos, sin) * Tensor(k)).sum(), [x])
+        out = rope(Tensor(x), cos, sin).data
+        np.testing.assert_allclose((out ** 2).sum(axis=-1), (x ** 2).sum(axis=-1),
+                                   rtol=1e-12)
+
+    def test_chunk(self):
+        x = RNG.standard_normal((2, 6, 3))
+
+        def build(x):
+            p, q, r = x.chunk(3, axis=1)  # r is unused: its window stays 0
+            return (p * q).sum() + (x * x).sum()
+        check_grads(build, [x])
+
+    def test_accumulation_does_not_write_into_shared_gradients(self):
+        # a and b first receive the same array from the add node; a's
+        # second contribution must not leak into b's gradient
+        k = RNG.standard_normal(4)
+        m = RNG.standard_normal(4)
+        a = Tensor(RNG.standard_normal(4), requires_grad=True)
+        b = Tensor(RNG.standard_normal(4), requires_grad=True)
+        loss = ((a + b) * Tensor(k)).sum() + (a * Tensor(m)).sum()
+        loss.backward()
+        assert np.array_equal(b.grad, k)
+        np.testing.assert_allclose(a.grad, k + m, rtol=1e-15)
 
 
 class TestDCT:
