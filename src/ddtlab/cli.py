@@ -182,18 +182,22 @@ def _solve(field, x0, grid, solver, recorder=None):
                         recorder=recorder)
 
 
+def _check_shift(shift: float) -> None:
+    if shift < 1.0:
+        raise UsageError(f"--shift must be >= 1, got {shift}")
+
+
 def cmd_sample(args) -> int:
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    if args.shift < 1.0:
-        raise UsageError(f"--shift must be >= 1, got {args.shift}")
+    _check_shift(args.shift)
     if args.cfg_w < 0.0:
         raise UsageError(f"--cfg-w must be >= 0, got {args.cfg_w}")
     if args.num < 2:
         raise UsageError(f"--num must be >= 2 (the MMD needs two samples), got {args.num}")
     a, b = args.cfg_interval
-    if not 0.0 <= a <= b <= 1.0:
-        raise UsageError(f"--cfg-interval needs 0 <= a <= b <= 1, got {a} {b}")
+    if not 0.0 <= a < b <= 1.0:
+        raise UsageError(f"--cfg-interval needs 0 <= a < b <= 1, got {a} {b}")
 
     model_config, arrays = load_checkpoint(args.checkpoint)
     model = DDTModel.from_arrays(
@@ -288,6 +292,7 @@ def cmd_plan(args) -> int:
         raise UsageError("provide exactly one of --similarity or --checkpoint")
     if args.probe_size < 1:
         raise UsageError(f"--probe-size must be >= 1, got {args.probe_size}")
+    _check_shift(args.shift)
     inputs = []
 
     if args.similarity is not None:
@@ -363,6 +368,7 @@ def cmd_diagnose(args) -> int:
         t_list.append(t)
     if not t_list:
         raise UsageError("--t-list must name at least one time")
+    _check_shift(args.shift)
 
     os.makedirs(args.out, exist_ok=True)
     inputs = []

@@ -12,14 +12,17 @@ The planner chooses Phi to maximize
 over the step-similarity matrix S. This is the minimal-sum-path problem
 in negated form and is solved exactly by dynamic programming; a
 brute-force enumerator over all anchor subsets doubles as its oracle.
-Utility folds are evaluated right-to-left everywhere (matching the DP
-recurrence's accumulation order) so the DP, the brute force, and
-plan_utility agree bit-for-bit, not just within tolerance.
+Segment utilities are running sums, W[j][i] = W[j][i-1] + S[j][i]: the
+table costs O(N^2), and the DP, one whole-array step per budget level,
+O(K*N^2). Every planner reads that one table and folds plan utilities
+right-to-left (the DP's accumulation order), so the DP, the brute force,
+plan_utility and segment_utility agree bit for bit, not within tolerance.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -73,6 +76,8 @@ class SimilarityMatrix:
         object.__setattr__(self, "S", s)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
             raise ValueError(f"similarity matrix must be square, got {s.shape}")
+        if not np.isfinite(s).all():
+            raise ValueError("similarity entries must be finite")
         if np.abs(s - s.T).max() > _SIM_TOL:
             raise ValueError("similarity matrix must be symmetric")
         if np.abs(np.diag(s) - 1.0).max() > _SIM_TOL:
@@ -140,19 +145,14 @@ def segment_utility(S, j: int, i: int) -> float:
         raise ValueError(f"segment start {j} exceeds end {i}")
     if not (0 <= j and i < s.shape[0]):
         raise ValueError(f"segment [{j},{i}] out of range for N={s.shape[0]}")
-    return float(np.sum(s[j, j: i + 1]))
+    return float(np.cumsum(s[j, j: i + 1])[-1])
 
 
 def utility_table(S) -> np.ndarray:
     """W[j][i] for all j <= i, 0 elsewhere; every planner reads this one
-    table so their utilities are bitwise comparable."""
-    s = _as_matrix(S)
-    n = s.shape[0]
-    w = np.zeros((n, n))
-    for j in range(n):
-        for i in range(j, n):
-            w[j, i] = np.sum(s[j, j: i + 1])
-    return w
+    table so their utilities are bitwise comparable. The zeros left of
+    the diagonal add exactly nothing to each row's running sum."""
+    return np.cumsum(np.triu(_as_matrix(S)), axis=1)
 
 
 def _fold_utility(w: np.ndarray, anchors: tuple[int, ...], n: int) -> float:
@@ -200,17 +200,19 @@ def plan_dp(S, K: int, return_state: bool = False):
     if not 1 <= K <= n:
         raise ValueError(f"budget K={K} out of range [1, {n}]")
     w = utility_table(s)
+    # reach[i][j-1]: utility of anchor i serving i..j-1; -inf for j <= i
+    reach = np.where(np.tri(n, k=-1, dtype=bool), -np.inf, w)
     # best[k-1][i]: max utility covering i..n-1 with k anchors, first at i
     best = np.full((K, n), -np.inf)
     path = np.full((K, n), -1, dtype=np.int64)
     best[0, :] = w[:, n - 1]
     for k in range(2, K + 1):
-        for i in range(n - k + 1):
-            js = np.arange(i + 1, n - k + 2)
-            vals = w[i, js - 1] + best[k - 2, js]
-            pick = int(np.argmax(vals))
-            best[k - 1, i] = vals[pick]
-            path[k - 1, i] = int(js[pick])
+        # first anchor i < m, successor j in i+1..m
+        m = n - k + 1
+        vals = reach[:m, :m] + best[k - 2, 1: m + 1]
+        pick = np.argmax(vals, axis=1)
+        best[k - 1, :m] = vals[np.arange(m), pick]
+        path[k - 1, :m] = pick + 1
     anchors = [0]
     i = 0
     for k in range(K, 1, -1):
@@ -346,7 +348,6 @@ def write_similarity(path, S) -> None:
     """Textual: magic line, N=..., then N rows of N floats (full precision,
     so a round-trip is bit-exact)."""
     s = _as_matrix(S)
-    import os
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"{_SIM_MAGIC}\n")
@@ -381,7 +382,6 @@ def read_similarity(path) -> SimilarityMatrix:
 
 
 def write_plan(path, plan: SharingPlan, checksum: str = "none") -> None:
-    import os
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"{_PLAN_MAGIC}\n")
@@ -415,11 +415,10 @@ def read_plan(path) -> tuple[SharingPlan, str]:
         n = int(fields["N"])
         k = int(fields["K"])
         anchors = tuple(int(a) for a in fields["anchors"].split(","))
+        ratio = float(fields["sharing_ratio"])
+        utility = None if fields.get("utility", "none") == "none" else float(fields["utility"])
     except ValueError as exc:
         raise FormatError(f"bad plan numbers: {exc}") from exc
-    utility = None
-    if fields.get("utility", "none") != "none":
-        utility = float(fields["utility"])
     try:
         plan = SharingPlan(N=n, anchors=anchors, strategy=fields["strategy"],
                            utility=utility)
@@ -427,6 +426,6 @@ def read_plan(path) -> tuple[SharingPlan, str]:
         raise FormatError(str(exc)) from exc
     if plan.K != k:
         raise FormatError(f"plan header K={k} but {plan.K} anchors listed")
-    if abs(plan.sharing_ratio - float(fields["sharing_ratio"])) > 1e-9:
+    if abs(plan.sharing_ratio - ratio) > 1e-9:
         raise FormatError("plan header sharing_ratio inconsistent with anchors")
     return plan, fields["similarity_checksum"]

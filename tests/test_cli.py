@@ -239,6 +239,9 @@ def test_sample_divergent_model_exits_4(tmp_path):
     ("sample", ["--cfg-w", "-1"]),
     ("sample", ["--num", "1"]),
     ("plan", ["--probe-size", "0", "--budget", "2"]),
+    ("sample", ["--cfg-interval", "0.5", "0.5", "--cfg-w", "2"]),
+    ("plan", ["--shift", "0.5", "--budget", "2"]),
+    ("diagnose", ["--shift", "0.5"]),
 ])
 def test_out_of_range_argument_exits_2(tmp_path, tiny_ckpt, capsys, command, flags):
     assert main([command, "--checkpoint", str(tiny_ckpt), "--steps", "4",
@@ -314,6 +317,14 @@ def test_plan_budget_out_of_range_exits_2(tmp_path, tiny_ckpt):
 
 def test_plan_needs_exactly_one_source(tmp_path):
     assert main(["plan", "--budget", "2", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_plan_nonfinite_similarity_exits_3(tmp_path):
+    sim = tmp_path / "sim.txt"
+    sim.write_text("ddtlab-similarity v1\nN=2\n1 nan\nnan 1\n")
+    assert main(["plan", "--similarity", str(sim), "--budget", "1",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ exact float equality (same utility fold, same tie-break), and the sharing
 executor is verified bit-exact against full sampling in the two cases
 where sharing provably changes nothing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,10 @@ def test_similarity_matrix_validation():
     bad[0, 3] = bad[3, 0] = 1.5
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         SimilarityMatrix(bad)
+    bad = WORKED.copy()
+    bad[0, 3] = bad[3, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        SimilarityMatrix(bad)
 
 
 def test_plan_validation_and_assignment():
@@ -108,12 +114,15 @@ def test_segment_utility_matches_definition():
 
 
 def test_utility_table_entries():
-    w = utility_table(WORKED)
-    n = WORKED.shape[0]
-    for j in range(n):
-        for i in range(j, n):
-            assert w[j, i] == segment_utility(WORKED, j, i)
-    assert w[2, 1] == 0.0
+    # the random rows are long enough that a pairwise sum would round
+    # differently from the running sum in the last bits
+    for s in (WORKED, random_cosine_matrix(np.random.default_rng(40), 40)):
+        w = utility_table(s)
+        n = s.shape[0]
+        for j in range(n):
+            for i in range(j, n):
+                assert w[j, i] == segment_utility(s, j, i)
+        assert np.all(np.tril(w, -1) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +242,39 @@ def test_best_utility_monotone_in_budget(n, seed):
     s = random_cosine_matrix(rng, n)
     utilities = [plan_dp(s, K=k).utility for k in range(1, n + 1)]
     assert all(b >= a - 1e-12 for a, b in zip(utilities, utilities[1:]))
+
+
+def loop_dp(w: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference DP, one first anchor i at a time: the oracle for plan_dp
+    beyond brute force's N <= 20."""
+    n = w.shape[0]
+    best = np.full((K, n), -np.inf)
+    path = np.full((K, n), -1, dtype=np.int64)
+    best[0, :] = w[:, n - 1]
+    for k in range(2, K + 1):
+        for i in range(n - k + 1):
+            js = np.arange(i + 1, n - k + 2)
+            vals = w[i, js - 1] + best[k - 2, js]
+            pick = int(np.argmax(vals))
+            best[k - 1, i] = vals[pick]
+            path[k - 1, i] = int(js[pick])
+    return best, path
+
+
+@pytest.mark.parametrize("n", [30, 120, 250])
+def test_dp_matches_reference_loop_exactly(n):
+    s = random_cosine_matrix(np.random.default_rng(n), n)
+    w = utility_table(s)
+    for k in sorted({1, 2, n // 8, n // 4, n // 2, n - 1, n}):
+        plan, state = plan_dp(s, K=k, return_state=True)
+        best, path = loop_dp(w, k)
+        anchors = [0]
+        for level in range(k, 1, -1):
+            anchors.append(int(path[level - 1, anchors[-1]]))
+        assert plan.anchors == tuple(anchors)
+        assert plan.utility == best[k - 1, 0]
+        assert np.array_equal(state.cost, -best)
+        assert np.array_equal(state.path, path)
 
 
 def test_plan_utility_is_the_dp_fold():
@@ -398,6 +440,9 @@ def test_similarity_file_errors(tmp_path):
     path.write_text("ddtlab-similarity v1\nN=2\n1 0.5\n0.2 1\n")
     with pytest.raises(FormatError, match="symmetric"):
         read_similarity(path)
+    path.write_text("ddtlab-similarity v1\nN=2\n1 nan\nnan 1\n")
+    with pytest.raises(FormatError, match="finite"):
+        read_similarity(path)
 
 
 def test_plan_roundtrip(tmp_path):
@@ -426,3 +471,9 @@ def test_plan_file_errors(tmp_path):
     path.write_text("ddtlab-plan v1\nN=6\nK=2\n")
     with pytest.raises(FormatError, match="missing fields"):
         read_plan(path)
+    write_plan(path, plan_dp(WORKED, K=2))
+    good = path.read_text()
+    for field in ("utility", "sharing_ratio"):
+        path.write_text(re.sub(f"^{field}=.*$", f"{field}=abc", good, flags=re.M))
+        with pytest.raises(FormatError, match="bad plan numbers"):
+            read_plan(path)
