@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .datasets import make_dataset
+from .datasets import DATASETS, make_dataset
 from .errors import FormatError, NumericalError, UsageError
 from .metrics import mmd_rbf, spectral_distance
 from .model import DDTModel, load_checkpoint, preset, save_checkpoint
@@ -362,7 +362,10 @@ def _data_profile(dataset, rng: np.random.Generator, trials: int) -> SpectrumPro
 def cmd_diagnose(args) -> int:
     t_list = []
     for token in args.t_list.split(","):
-        t = float(token)
+        try:
+            t = float(token)
+        except ValueError:
+            raise UsageError(f"--t-list entries must be numbers, got {token!r}") from None
         if not 0.0 <= t <= 1.0:
             raise UsageError(f"--t-list entries must lie in [0, 1], got {t}")
         t_list.append(t)
@@ -460,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="build a uniform plan with K = ceil(N*(1-r))")
     p_sample.add_argument("--num", type=int, default=64,
                           help="number of samples (>= 2)")
-    p_sample.add_argument("--dataset", default="bandlimited",
+    p_sample.add_argument("--dataset", choices=DATASETS, default="bandlimited",
                           help="held-out dataset for the eval report")
     p_sample.add_argument("--out", default="runs/sample")
     p_sample.set_defaults(func=cmd_sample)
@@ -488,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.set_defaults(func=cmd_plan)
 
     p_diag = sub.add_parser("diagnose", help="spectral and similarity dumps")
-    p_diag.add_argument("--dataset", default="bandlimited")
+    p_diag.add_argument("--dataset", choices=DATASETS, default="bandlimited")
     p_diag.add_argument("--checkpoint", default=None,
                         help="also probe step similarity of this model")
     p_diag.add_argument("--seed", type=int, default=0)

@@ -15,7 +15,11 @@ import numpy as np
 
 from .numcore import dct_matrix
 
-__all__ = ["BandlimitedDataset", "GaussianDataset", "PointMassDataset", "make_dataset"]
+__all__ = ["BandlimitedDataset", "GaussianDataset", "PointMassDataset", "DATASETS",
+           "make_dataset"]
+
+# the names make_dataset accepts
+DATASETS = ("bandlimited", "gaussian", "pointmass")
 
 
 class BandlimitedDataset:
@@ -104,5 +108,4 @@ def make_dataset(name: str, image_size: int = 8, channels: int = 1,
         return GaussianDataset(image_size, channels)
     if name == "pointmass":
         return PointMassDataset(image_size, channels)
-    raise ValueError(f"unknown dataset {name!r}; "
-                     "choose from bandlimited, gaussian, pointmass")
+    raise ValueError(f"unknown dataset {name!r}; choose from {', '.join(DATASETS)}")

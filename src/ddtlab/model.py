@@ -28,7 +28,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError
-from .numcore import NORM_EPS, Tensor, gelu_tanh, linear, rms_norm, rope, silu, softmax
+from .numcore import (
+    Tensor,
+    gated_residual,
+    gelu_tanh,
+    layer_norm,
+    linear,
+    modulate,
+    rms_norm,
+    self_attention,
+    silu,
+    swiglu,
+)
 from .rng import substream
 
 __all__ = [
@@ -216,33 +227,26 @@ def unpatchify(tokens, patch_size: int, channels: int):
 # normalization and modulation
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: Tensor) -> Tensor:
-    """Non-affine layer normalization over the last axis (AdaLN supplies
-    the scale and shift)."""
-    m = x.mean(axis=-1, keepdims=True)
-    d = x - m
-    var = (d * d).mean(axis=-1, keepdims=True)
-    return d / (var + NORM_EPS).sqrt()
-
-
 def adaln_modulate(h: Tensor, cond: Tensor, weight: Tensor, bias: Tensor,
                    branch, norm) -> Tensor:
     """One gated residual branch:
 
         h + gate * branch(shift + (1 + scale) * norm(h))
 
-    (shift, scale, gate) come from a linear on silu(cond); with that linear
+    (shift, scale, gate) come from a linear on cond; with that linear
     zero-initialized the gate is zero and the output equals h exactly.
-    cond may be per-sample [B, D] or per-token [B, T, D].
+    cond arrives already activated: the stacks compute silu of their
+    conditioning once and hand it to every block. It may be per-sample
+    [B, D] or [B, 1, D], or per-token [B, T, D].
     """
     if weight.shape[0] != (cond.shape[-1] if cond.ndim else 0):
         raise ValueError(f"conditioning dim {cond.shape} does not match "
                          f"modulation weight {weight.shape}")
-    m = linear(silu(cond), weight, bias)
+    m = linear(cond, weight, bias)
     if m.ndim == h.ndim - 1:
         m = m.reshape(m.shape[0], 1, m.shape[-1])
     shift, scale, gate = m.chunk(3, axis=-1)
-    return h + gate * branch(shift + (1.0 + scale) * norm(h))
+    return gated_residual(h, gate, branch(modulate(norm(h), shift, scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,19 +489,11 @@ class DDTModel:
 
     def _attention(self, h: Tensor, prefix: str) -> Tensor:
         cfg = self.config
-        b, n, _ = h.shape
-        nh, dh = cfg.heads, cfg.hidden_dim // cfg.heads
         qkv = self._linear(h, f"{prefix}.attn.qkv")
-        # [b, n, (3, nh, dh)] -> [b, 3*nh, n, dh]: q, k, v are the head thirds
-        qkv = qkv.reshape(b, n, 3 * nh, dh).transpose(0, 2, 1, 3)
-        q, k, v = qkv.chunk(3, axis=1)
+        tables = ()
         if cfg.block_style == "improved":
-            cos, sin = _rope_tables(n, dh)
-            q = rope(q, cos, sin)
-            k = rope(k, cos, sin)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
-        attn = softmax(scores, axis=-1)
-        out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, cfg.hidden_dim)
+            tables = _rope_tables(h.shape[1], cfg.hidden_dim // cfg.heads)
+        out = self_attention(qkv, cfg.heads, *tables)
         return self._linear(out, f"{prefix}.attn.proj")
 
     def _mlp(self, h: Tensor, prefix: str) -> Tensor:
@@ -505,8 +501,7 @@ class DDTModel:
         if self.config.block_style == "baseline":
             mid = gelu_tanh(self._linear(h, mlp, "w1", "b1"))
         else:
-            gate = silu(self._linear(h, mlp, "wg", "bg"))
-            mid = gate * self._linear(h, mlp, "w1", "b1")
+            mid = swiglu(self._linear(h, mlp, "wg", "bg"), self._linear(h, mlp, "w1", "b1"))
         return self._linear(mid, mlp, "w2", "b2")
 
     def _block(self, h: Tensor, cond: Tensor, prefix: str) -> Tensor:
@@ -551,7 +546,9 @@ class DDTModel:
             raise ValueError(f"class index out of range [0, {cfg.null_class}]")
         t_emb = self._timestep_embedding(t_vec)
         y_emb = self._label_embedding(y_vec)
-        cond = t_emb + y_emb
+        # activated once for every block, and [B, 1, D] so that each
+        # block's modulation broadcasts over the tokens without a reshape
+        cond = silu(t_emb + y_emb).reshape(batch, 1, cfg.hidden_dim)
         h = tok
         h_align = None
         for i in range(cfg.encoder_layers):
@@ -579,13 +576,13 @@ class DDTModel:
         if np.any(t_vec < 0.0) or np.any(t_vec > 1.0):
             raise ValueError("t must lie in [0,1]")
         t_emb = self._timestep_embedding(t_vec)
-        cond = z + t_emb.reshape(batch, 1, cfg.hidden_dim)
+        cond = silu(z + t_emb.reshape(batch, 1, cfg.hidden_dim))
         h = tok
         for i in range(cfg.decoder_layers):
             h = self._block(h, cond, f"dec.b{i}")
-        m = self._linear(silu(cond), "final.mod")
+        m = self._linear(cond, "final.mod")
         shift, scale = m.chunk(2, axis=-1)
-        h = shift + (1.0 + scale) * self._norm(h)
+        h = modulate(self._norm(h), shift, scale)
         out = self._linear(h, "final.proj")
         v = unpatchify(out, cfg.patch_size, cfg.channels)
         self.nfe_decoder += 1
@@ -683,12 +680,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         missing = [f for f in _CONFIG_FIELDS if f not in fields]
         if missing:
             raise FormatError(f"checkpoint header missing fields {missing}")
-        kwargs = {}
-        for field in _CONFIG_FIELDS:
-            raw = fields[field]
-            kwargs[field] = raw if field == "block_style" else int(raw)
         try:
-            config = ModelConfig(**kwargs)
+            config = ModelConfig(**{
+                field: fields[field] if field == "block_style" else int(fields[field])
+                for field in _CONFIG_FIELDS})
         except ValueError as exc:
             raise FormatError(f"checkpoint header invalid: {exc}") from exc
         arrays: dict[str, np.ndarray] = {}

@@ -9,15 +9,22 @@ node is visited exactly once and cycles are impossible by construction
 The transformer's hot paths are single nodes with hand-written backward
 passes rather than compositions of elementwise nodes:
 
-  linear(x, w, b)   x @ w + b with the batch axes flattened, so the
-                    forward, input-gradient and weight-gradient products
-                    are each one 2-D GEMM
-  rms_norm(x)       x / sqrt(mean(x^2) + eps) over the last axis
-  rope(x, cos, sin) rotary position embedding of the two half-vectors
-  softmax(x)        max-shifted softmax
-  silu(x)           x * sigmoid(x)
-  Tensor.chunk      equal slices whose gradients land in one shared
-                    parent buffer
+  linear(x, w, b)         x @ w + b with the batch axes flattened, so the
+                          forward, input-gradient and weight-gradient
+                          products are each one 2-D GEMM
+  rms_norm(x)             x / sqrt(mean(x^2) + eps) over the last axis
+  layer_norm(x)           (x - mean) / sqrt(var + eps) over the last axis
+  modulate(x, sh, sc)     sh + (1 + sc) * x, the AdaLN modulation
+  gated_residual(h, g, y) h + g * y, the AdaLN-Zero gated residual
+  self_attention(qkv, nh) fused q|k|v projection -> merged heads: RoPE on
+                          q and k, scaled scores, softmax, p @ v
+  swiglu(a, b)            silu(a) * b
+  silu(x)                 x * sigmoid(x)
+  Tensor.chunk            equal slices whose gradients land in one shared
+                          parent buffer
+
+Each keeps the operation order of the composition it replaces, so a
+forward pass under no_grad is bit-identical to the composed one.
 
 Also home to two numeric primitives used across the package: the
 orthonormal type-II DCT (direct O(n^2) matrix product, plenty at desk
@@ -40,9 +47,12 @@ __all__ = [
     "concat",
     "linear",
     "rms_norm",
-    "rope",
+    "layer_norm",
+    "modulate",
+    "gated_residual",
+    "self_attention",
+    "swiglu",
     "silu",
-    "softmax",
     "dct_ortho",
     "idct_ortho",
     "dct_matrix",
@@ -575,48 +585,191 @@ def rms_norm(x: Tensor) -> Tensor:
     return Tensor._node(out, (x,), backward)
 
 
-def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary embedding: the halves (x1, x2) of the last axis become
-    (x1*cos - x2*sin, x1*sin + x2*cos); cos/sin broadcast against a half."""
-    half = x.shape[-1] // 2
-    x1, x2 = x.data[..., :half], x.data[..., half:]
-    out = np.empty_like(x.data)
-    out[..., :half] = x1 * cos - x2 * sin
-    out[..., half:] = x1 * sin + x2 * cos
+def layer_norm(x: Tensor) -> Tensor:
+    """(x - mean) / sqrt(var + eps) over the last axis, without affine
+    terms (AdaLN supplies the scale and shift)."""
+    inv_n = 1.0 / x.shape[-1]
+    d = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    root = np.sqrt((d * d).sum(axis=-1, keepdims=True) * inv_n + NORM_EPS)
+    out = d / root
 
     def backward(g):
         if x.requires_grad:
-            g1, g2 = g[..., :half], g[..., half:]
-            gx = np.empty_like(out)
-            gx[..., :half] = g1 * cos + g2 * sin
-            gx[..., half:] = g2 * cos - g1 * sin
+            gm = g.sum(axis=-1, keepdims=True) * inv_n
+            gy = (g * out).sum(axis=-1, keepdims=True) * inv_n
+            x._accumulate((g - gm - out * gy) / root)
+
+    return Tensor._node(out, (x,), backward)
+
+
+def modulate(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
+    """shift + (1 + scale) * x; shift and scale broadcast against x."""
+    factor = 1.0 + scale.data
+    out = factor * x.data
+    out += shift.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(g * factor, x.shape))
+        if shift.requires_grad:
+            shift._accumulate(_unbroadcast(g, shift.shape))
+        if scale.requires_grad:
+            scale._accumulate(_unbroadcast(g * x.data, scale.shape))
+
+    return Tensor._node(out, (x, shift, scale), backward)
+
+
+def gated_residual(h: Tensor, gate: Tensor, y: Tensor) -> Tensor:
+    """h + gate * y; gate broadcasts against y. A zero gate and a finite
+    y return h exactly."""
+    out = gate.data * y.data
+    out += h.data
+
+    def backward(g):
+        if h.requires_grad:
+            h._accumulate(_unbroadcast(g, h.shape))
+        if gate.requires_grad:
+            gate._accumulate(_unbroadcast(g * y.data, gate.shape))
+        if y.requires_grad:
+            y._accumulate(_unbroadcast(g * gate.data, y.shape))
+
+    return Tensor._node(out, (h, gate, y), backward)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in one buffer."""
+    sig = np.negative(x)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    return np.divide(1.0, sig, out=sig)
+
+
+def _silu_slope(x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """d silu / dx = sig * (1 + x * (1 - sig)), in one buffer."""
+    slope = 1.0 - sig
+    slope *= x
+    slope += 1.0
+    slope *= sig
+    return slope
+
+
+def silu(x: Tensor) -> Tensor:
+    sig = _sigmoid(x.data)
+    out = x.data * sig
+
+    def backward(g):
+        if x.requires_grad:
+            gx = _silu_slope(x.data, sig)
+            gx *= g
             x._accumulate(gx)
 
     return Tensor._node(out, (x,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; the max shift is exact because softmax
-    is shift invariant."""
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+def swiglu(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * b. The backward pass recomputes silu(a) from the held
+    sigmoid rather than holding a second activation-sized array."""
+    sig = _sigmoid(a.data)
+    out = a.data * sig
+    out *= b.data
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(out * (g - (g * out).sum(axis=axis, keepdims=True)))
+        if a.requires_grad:
+            ga = _silu_slope(a.data, sig)
+            ga *= g * b.data
+            a._accumulate(ga)
+        if b.requires_grad:
+            gb = a.data * sig
+            gb *= g
+            b._accumulate(gb)
 
-    return Tensor._node(out, (x,), backward)
+    return Tensor._node(out, (a, b), backward)
 
 
-def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = x.data * sig
+def _rotation_tables(cos: np.ndarray, sin: np.ndarray, heads: int):
+    """Full-width rotation tables [c, c] and [-s, s] of shape
+    [n, 2, heads, dh] from the [n, dh/2] half tables, tiled over q|k and
+    the heads so that one elementwise pass over the [b, n, 2, heads, dh]
+    q|k block has an inner loop across all of a token's heads."""
+    n, half = cos.shape
+    c = np.empty((n, 2, heads, 2, half))
+    c[...] = cos[:, None, None, None, :]
+    s = np.empty_like(c)
+    s[..., 0, :] = -sin[:, None, None, :]
+    s[..., 1, :] = sin[:, None, None, :]
+    return c.reshape(n, 2, heads, 2 * half), s.reshape(n, 2, heads, 2 * half)
+
+
+def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out=None) -> np.ndarray:
+    """x * cos + swap_halves(x) * sin over the last axis. With the tables
+    [c, c] and [-s, s] this rotates each pair (x1, x2) to
+    (x1*c - x2*s, x2*c + x1*s); with [c, c] and [s, -s] it applies the
+    inverse rotation. Negation is exact and a + (-b) == a - b, so the
+    result is bitwise the half-by-half rotation."""
+    half = x.shape[-1] // 2
+    swapped = np.empty(x.shape)
+    np.copyto(swapped.reshape(*x.shape[:-1], 2, half),
+              x.reshape(*x.shape[:-1], 2, half)[..., ::-1, :])
+    swapped *= sin
+    out = np.multiply(x, cos, out=out)
+    out += swapped
+    return out
+
+
+def _softmax_inplace(x: np.ndarray) -> None:
+    """Max-shifted softmax over the last axis, in place; the shift is
+    exact because softmax is shift invariant."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+
+
+def self_attention(qkv: Tensor, heads: int, cos: np.ndarray | None = None,
+                   sin: np.ndarray | None = None) -> Tensor:
+    """Multi-head softmax self-attention from the fused projection
+    [b, n, 3d], laid out (q | k | v) x heads x dh along the last axis, to
+    the merged heads [b, n, d].
+
+    With cos and sin (the [n, dh/2] tables of the token angles) q and k
+    get the rotary embedding first. Backward: dv = p^T g,
+    ds = p * (dp - sum(dp * p)) * scale with dp = g v^T, dq = ds k,
+    dk = ds^T q, then the inverse rotation of dq and dk.
+    """
+    b, n, width = qkv.shape
+    dh = width // (3 * heads)
+    scale = 1.0 / math.sqrt(dh)
+    x = qkv.data.reshape(b, n, 3, heads, dh)
+    qk = x[:, :, :2]
+    if cos is not None:
+        cos, sin = _rotation_tables(cos, sin, heads)
+        qk = _rope(qk, cos, sin)
+    # [b, heads, n, dh] views
+    q = qk[:, :, 0].transpose(0, 2, 1, 3)
+    k = qk[:, :, 1].transpose(0, 2, 1, 3)
+    v = x[:, :, 2].transpose(0, 2, 1, 3)
+    p = q @ k.transpose(0, 1, 3, 2)
+    p *= scale
+    _softmax_inplace(p)
+    out = (p @ v).transpose(0, 2, 1, 3).reshape(b, n, heads * dh)
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (sig * (1.0 + x.data * (1.0 - sig))))
+        if not qkv.requires_grad:
+            return
+        go = g.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+        grad = np.empty(x.shape)
+        grad[:, :, 2] = (p.transpose(0, 1, 3, 2) @ go).transpose(0, 2, 1, 3)
+        ds = go @ v.transpose(0, 1, 3, 2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        gqk = grad[:, :, :2] if cos is None else np.empty(qk.shape)
+        gqk[:, :, 0] = (ds @ k).transpose(0, 2, 1, 3)
+        gqk[:, :, 1] = (ds.transpose(0, 1, 3, 2) @ q).transpose(0, 2, 1, 3)
+        if cos is not None:
+            _rope(gqk, cos, -sin, out=grad[:, :, :2])
+        qkv._accumulate(grad.reshape(qkv.shape))
 
-    return Tensor._node(out, (x,), backward)
+    return Tensor._node(out, (qkv,), backward)
 
 
 def gelu_tanh(x: Tensor) -> Tensor:

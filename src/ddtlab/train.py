@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import make_dataset
+from .datasets import DATASETS, make_dataset
 from .errors import NumericalError, UsageError
-from .model import DDTModel
+from .model import PRESETS, DDTModel
 from .numcore import Tensor
 from .rng import step_stream
 
@@ -284,6 +284,12 @@ class TrainConfig:
             raise UsageError("lr must be positive")
         if not 0.0 <= self.label_drop <= 1.0:
             raise UsageError("label_drop must lie in [0, 1]")
+        if self.preset not in PRESETS:
+            raise UsageError(f"unknown preset {self.preset!r}; "
+                             f"choose from {', '.join(PRESETS)}")
+        if self.dataset not in DATASETS:
+            raise UsageError(f"unknown dataset {self.dataset!r}; "
+                             f"choose from {', '.join(DATASETS)}")
         return self
 
 

@@ -115,6 +115,14 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
     assert "wat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("preset", "huge"), ("dataset", "nope")])
+def test_train_bad_config_value_exits_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path / "config.txt", **{field: value})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert value in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_missing_config_exits_3(tmp_path):
     assert main(["train", "--config", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "o")]) == 3
@@ -242,6 +250,9 @@ def test_sample_divergent_model_exits_4(tmp_path):
     ("sample", ["--cfg-interval", "0.5", "0.5", "--cfg-w", "2"]),
     ("plan", ["--shift", "0.5", "--budget", "2"]),
     ("diagnose", ["--shift", "0.5"]),
+    ("diagnose", ["--t-list", "abc"]),
+    ("sample", ["--dataset", "nope"]),
+    ("diagnose", ["--dataset", "nope"]),
 ])
 def test_out_of_range_argument_exits_2(tmp_path, tiny_ckpt, capsys, command, flags):
     assert main([command, "--checkpoint", str(tiny_ckpt), "--steps", "4",

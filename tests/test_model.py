@@ -1,11 +1,15 @@
 """Architecture contracts: token layout, AdaLN-Zero identities, encoder and
 decoder signatures, preset bookkeeping, checkpoint round-trip."""
 
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ddtlab.errors import FormatError
 from ddtlab.model import (
+    CHECKPOINT_MAGIC,
     ConditionBundle,
     DDTModel,
     ModelConfig,
@@ -21,9 +25,69 @@ from ddtlab.model import (
     save_checkpoint,
     unpatchify,
 )
-from ddtlab.numcore import Tensor, concat, no_grad
+from ddtlab.model import _rope_tables
+from ddtlab.numcore import Tensor, concat, gelu_tanh, no_grad
+from test_numcore import composed_attention
 
 RNG = np.random.default_rng(42)
+
+
+def composed_forward(model: DDTModel, x, t, y):
+    """(z, v) from the composition of elementwise steps that the fused
+    nodes replace: silu of the conditioning in every branch,
+    shift + (1 + scale) * norm(h), h + gate * branch(...), silu(a) * b,
+    the step-by-step attention and the step-by-step layer norm. The
+    reference for the model's no_grad forward."""
+    cfg = model.config
+    p = {name: prm.data for name, prm in model.params.items()}
+
+    def lin(v, w, b):
+        return (v.reshape(-1, v.shape[-1]) @ p[w] + p[b]).reshape(*v.shape[:-1], -1)
+
+    def silu(v):
+        return v * (1.0 / (1.0 + np.exp(-v)))
+
+    def norm(h):
+        if cfg.block_style == "improved":
+            return rms_norm(Tensor(h)).data
+        d = h - h.sum(axis=-1, keepdims=True) * (1.0 / h.shape[-1])
+        var = (d * d).sum(axis=-1, keepdims=True) * (1.0 / h.shape[-1])
+        return d / np.sqrt(var + 1e-6)
+
+    def attention(u, pre):
+        tables = ()
+        if cfg.block_style == "improved":
+            tables = _rope_tables(cfg.num_tokens, cfg.hidden_dim // cfg.heads)
+        qkv = lin(u, f"{pre}.qkv.w", f"{pre}.qkv.b")
+        out = composed_attention(qkv, cfg.heads, *tables)
+        return lin(out, f"{pre}.proj.w", f"{pre}.proj.b")
+
+    def mlp(u, pre):
+        if cfg.block_style == "baseline":
+            mid = gelu_tanh(Tensor(lin(u, f"{pre}.w1", f"{pre}.b1"))).data
+        else:
+            mid = silu(lin(u, f"{pre}.wg", f"{pre}.bg")) * lin(u, f"{pre}.w1", f"{pre}.b1")
+        return lin(mid, f"{pre}.w2", f"{pre}.b2")
+
+    def stack(h, cond, name, layers):
+        for i in range(layers):
+            pre = f"{name}.b{i}"
+            for branch, fn in (("attn", attention), ("mlp", mlp)):
+                m = lin(silu(cond), f"{pre}.{branch}_mod.w", f"{pre}.{branch}_mod.b")
+                if m.ndim == 2:
+                    m = m.reshape(m.shape[0], 1, m.shape[-1])
+                shift, scale, gate = np.split(m, 3, axis=-1)
+                h = h + gate * fn(shift + (1.0 + scale) * norm(h), f"{pre}.{branch}")
+        return h
+
+    t_emb = model._timestep_embedding(t).data
+    cond = t_emb + model._label_embedding(y).data
+    z = norm(stack(model._tokens(x, "enc").data, cond, "enc", cfg.encoder_layers))
+    cond = z + t_emb.reshape(-1, 1, cfg.hidden_dim)
+    h = stack(model._tokens(x, "dec").data, cond, "dec", cfg.decoder_layers)
+    shift, scale = np.split(lin(silu(cond), "final.mod.w", "final.mod.b"), 2, axis=-1)
+    out = lin(shift + (1.0 + scale) * norm(h), "final.proj.w", "final.proj.b")
+    return z, unpatchify(out, cfg.patch_size, cfg.channels)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -216,6 +280,23 @@ class TestEncoderDecoder:
         _, h_align = model.encode(x, 0.2, 1)
         assert h_align.shape == (1, cfg.num_tokens, cfg.hidden_dim)
 
+    @pytest.mark.parametrize("style", ["improved", "baseline"])
+    def test_no_grad_forward_matches_composition(self, style):
+        # desk sizes at the sampling batch of 64
+        model = DDTModel(replace(preset("desk"), block_style=style), seed=6)
+        rng = np.random.default_rng(12)
+        for _, prm in model.named_parameters():
+            prm.data += 0.05 * rng.standard_normal(prm.shape)
+        x = rng.standard_normal((64, 1, 8, 8))
+        t = rng.uniform(0.0, 1.0, 64)
+        y = rng.integers(0, 5, 64)
+        with no_grad():
+            bundle, _ = model.encode(x, t, y)
+            v = model.decode(x, t, bundle)
+        z_ref, v_ref = composed_forward(model, x, t, y)
+        assert np.array_equal(bundle.z_t.data, z_ref)
+        assert np.array_equal(v.data, v_ref)
+
     def test_nfe_counters(self):
         model = DDTModel(tiny_config(), seed=0)
         x = np.zeros((2, 1, 4, 4))
@@ -330,6 +411,23 @@ class TestCheckpoint:
         (tmp_path / "trunc.ckpt").write_bytes(blob[: len(blob) - 9])
         with pytest.raises(FormatError):
             load_checkpoint(tmp_path / "trunc.ckpt")
+
+    @pytest.mark.parametrize("bad", [b"hidden_dim=6x", b"heads=four", b"hidden_dim=9"])
+    def test_bad_header_value_rejected(self, tmp_path, bad):
+        cfg = tiny_config()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, cfg, DDTModel(cfg, seed=1).state_arrays())
+        blob = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 4
+        (header_len,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):start])
+        field = bad.split(b"=")[0] + b"="
+        lines = [bad if line.startswith(field) else line
+                 for line in blob[start:start + header_len].split(b"\n")]
+        header = b"\n".join(lines)
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header
+                         + blob[start + header_len:])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
     def test_missing_param_rejected(self, tmp_path):
         cfg = tiny_config()

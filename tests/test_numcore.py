@@ -5,6 +5,8 @@ checked against scipy.fft (test-only dependency) and against its own
 algebraic properties (orthonormality, energy preservation).
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -18,14 +20,17 @@ from ddtlab.numcore import (
     cosine_similarity,
     dct_matrix,
     dct_ortho,
+    gated_residual,
     gelu_tanh,
     idct_ortho,
+    layer_norm,
     linear,
+    modulate,
     no_grad,
     rms_norm,
-    rope,
+    self_attention,
     silu,
-    softmax,
+    swiglu,
 )
 
 
@@ -66,6 +71,38 @@ def check_grads(build, arrays, tol=1e-6):
 
 
 RNG = np.random.default_rng(20260819)
+
+
+def composed_rope(x, cos, sin):
+    """Rotary embedding computed half by half."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    out = np.empty_like(x)
+    out[..., :half] = x1 * cos - x2 * sin
+    out[..., half:] = x1 * sin + x2 * cos
+    return out
+
+
+def composed_attention(qkv, heads, cos=None, sin=None):
+    """The composition self_attention replaces, step by step: split the
+    heads with a reshape and a transpose, take q, k and v as head thirds,
+    rotate q and k, scale the scores, max-shifted softmax, p @ v, merge
+    the heads. The reference for the fused node's forward."""
+    b, n, width = qkv.shape
+    dh = width // (3 * heads)
+    split = qkv.reshape(b, n, 3 * heads, dh).transpose(0, 2, 1, 3)
+    q, k, v = split[:, :heads], split[:, heads:2 * heads], split[:, 2 * heads:]
+    if cos is not None:
+        q, k = composed_rope(q, cos, sin), composed_rope(k, cos, sin)
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    return (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, heads * dh)
+
+
+def rope_angles(rng, n, half):
+    angles = rng.uniform(0.0, 2.0 * np.pi, (n, half))
+    return np.cos(angles), np.sin(angles)
 
 
 class TestAutodiff:
@@ -133,16 +170,29 @@ class TestAutodiff:
         check_grads(lambda x: gelu_tanh(x).sum(), [a])
 
     def test_softmax_grads_and_rows_sum_to_one(self):
-        a = np.random.default_rng(11).standard_normal((3, 5))
-        check_grads(lambda x: (softmax(x) * softmax(x)).sum(), [a])
-        s = softmax(Tensor(a))
-        np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
+        # one head with dh = n and v_j = e_j: each output row is the
+        # attention row itself
+        rng = np.random.default_rng(11)
+        qkv = rng.standard_normal((3, 5, 15))
+        qkv[..., 10:] = np.eye(5)
+        p = self_attention(Tensor(qkv), heads=1).data
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(p > 0.0)
+        a = rng.standard_normal((2, 3, 6))
+        check_grads(lambda x: (self_attention(x, 1) * self_attention(x, 1)).sum(), [a])
 
     def test_softmax_shift_invariance_large_logits(self):
-        a = np.array([[1000.0, 1000.5, 999.0]])
-        s = softmax(Tensor(a)).data
-        assert np.all(np.isfinite(s))
-        np.testing.assert_allclose(s.sum(), 1.0, atol=1e-12)
+        # scores q.k / sqrt(3) of about 1000: exp would overflow unshifted
+        logits = np.array([1000.0, 1000.5, 999.0])
+        qkv = np.zeros((1, 3, 9))
+        qkv[0, :, 0] = math.sqrt(3.0)
+        qkv[0, :, 3] = logits
+        qkv[0, :, 6:] = np.eye(3)
+        p = self_attention(Tensor(qkv), heads=1).data[0]
+        assert np.all(np.isfinite(p))
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+        ref = np.exp(logits - logits.max())
+        np.testing.assert_allclose(p, np.tile(ref / ref.sum(), (3, 1)), rtol=1e-9)
 
     def test_deep_chain_no_recursion_limit(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -206,20 +256,69 @@ class TestFusedOps:
         check_grads(lambda x: (silu(x) * Tensor(k)).sum(), [x])
 
     def test_softmax(self):
-        x = RNG.standard_normal((2, 3, 5))
-        k = RNG.standard_normal((2, 3, 5))
-        check_grads(lambda x: (softmax(x, axis=-1) * Tensor(k)).sum(), [x])
-        check_grads(lambda x: (softmax(x, axis=1) * Tensor(k)).sum(), [x])
+        # self_attention without rotation, two heads
+        x = RNG.standard_normal((2, 4, 12))
+        k = RNG.standard_normal((2, 4, 4))
+        check_grads(lambda x: (self_attention(x, 2) * Tensor(k)).sum(), [x])
 
     def test_rope(self):
-        x = RNG.standard_normal((2, 3, 4, 6))
-        k = RNG.standard_normal((2, 3, 4, 6))
-        angles = RNG.uniform(0.0, 2.0 * np.pi, (4, 3))
-        cos, sin = np.cos(angles), np.sin(angles)
-        check_grads(lambda x: (rope(x, cos, sin) * Tensor(k)).sum(), [x])
-        out = rope(Tensor(x), cos, sin).data
-        np.testing.assert_allclose((out ** 2).sum(axis=-1), (x ** 2).sum(axis=-1),
-                                   rtol=1e-12)
+        # self_attention with rotation, three heads of dh = 6
+        x = RNG.standard_normal((2, 4, 54))
+        k = RNG.standard_normal((2, 4, 18))
+        cos, sin = rope_angles(RNG, 4, 3)
+        check_grads(lambda x: (self_attention(x, 3, cos, sin) * Tensor(k)).sum(), [x])
+        # angle 0 everywhere is the identity rotation
+        plain = self_attention(Tensor(x), 3).data
+        still = self_attention(Tensor(x), 3, np.ones((4, 3)), np.zeros((4, 3))).data
+        assert np.array_equal(plain, still)
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_self_attention_matches_composed_forward(self, rotate):
+        # desk sizes: 16 tokens, 4 heads of dh = 16
+        rng = np.random.default_rng(5)
+        qkv = rng.standard_normal((8, 16, 192))
+        tables = rope_angles(rng, 16, 8) if rotate else ()
+        out = self_attention(Tensor(qkv), 4, *tables).data
+        assert np.array_equal(out, composed_attention(qkv, 4, *tables))
+
+    @pytest.mark.parametrize("per_token", [False, True])
+    def test_modulate(self, per_token):
+        x = RNG.standard_normal((2, 3, 4))
+        mod = RNG.standard_normal((2, 3 if per_token else 1, 8))
+        k = RNG.standard_normal((2, 3, 4))
+        check_grads(lambda x, m: (modulate(x, *m.chunk(2)) * Tensor(k)).sum(), [x, mod])
+        shift, scale = mod[..., :4], mod[..., 4:]
+        out = modulate(Tensor(x), Tensor(shift), Tensor(scale)).data
+        assert np.array_equal(out, shift + (1.0 + scale) * x)
+
+    @pytest.mark.parametrize("per_token", [False, True])
+    def test_gated_residual(self, per_token):
+        h = RNG.standard_normal((2, 3, 4))
+        gate = RNG.standard_normal((2, 3 if per_token else 1, 4))
+        y = RNG.standard_normal((2, 3, 4))
+        k = RNG.standard_normal((2, 3, 4))
+        check_grads(lambda h, g, y: (gated_residual(h, g, y) * Tensor(k)).sum(), [h, gate, y])
+        out = gated_residual(Tensor(h), Tensor(gate), Tensor(y)).data
+        assert np.array_equal(out, h + gate * y)
+        closed = gated_residual(Tensor(h), Tensor(np.zeros_like(gate)), Tensor(y)).data
+        assert np.array_equal(closed, h)
+
+    def test_swiglu(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 5)) * 2.0
+        b = rng.standard_normal((3, 5))
+        k = rng.standard_normal((3, 5))
+        check_grads(lambda a, b: (swiglu(a, b) * Tensor(k)).sum(), [a, b])
+        assert np.array_equal(swiglu(Tensor(a), Tensor(b)).data, silu(Tensor(a)).data * b)
+
+    def test_layer_norm(self):
+        x = RNG.standard_normal((2, 3, 6))
+        k = RNG.standard_normal((2, 3, 6))
+        check_grads(lambda x: (layer_norm(x) * Tensor(k)).sum(), [x])
+        t = Tensor(x)
+        d = t - t.mean(axis=-1, keepdims=True)
+        composed = d / ((d * d).mean(axis=-1, keepdims=True) + 1e-6).sqrt()
+        assert np.array_equal(layer_norm(t).data, composed.data)
 
     def test_chunk(self):
         x = RNG.standard_normal((2, 6, 3))

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import ddtlab.train as train_mod
 from ddtlab.datasets import BandlimitedDataset, GaussianDataset, PointMassDataset, make_dataset
 from ddtlab.errors import NumericalError, UsageError
-from ddtlab.model import DDTModel, ModelConfig
-from ddtlab.numcore import Tensor
+from ddtlab.model import DDTModel, ModelConfig, preset
+from ddtlab.numcore import Tensor, topological_order
 from ddtlab.rng import step_stream, substream
 from ddtlab.train import (
     Adam,
@@ -201,6 +201,15 @@ class TestTrainStep:
         g = model.params["halign.w2"].grad
         assert g is not None and np.abs(g).max() > 0.0
 
+    def test_desk_loss_graph_node_budget(self):
+        # the fused attention, AdaLN and SwiGLU nodes keep one desk
+        # training step's graph within 300 nodes (464 when composed)
+        cfg = preset("desk")
+        model = DDTModel(cfg, seed=0)
+        batch = make_batch(make_dataset("bandlimited"), cfg, np.random.default_rng(2), 32)
+        _, _, total = loss_terms(model, batch, alignment_weight=0.5)
+        assert len(topological_order(total)) <= 300
+
     def test_ten_steps_deterministic(self):
         def run():
             cfg = tiny_config()
@@ -362,6 +371,11 @@ class TestConfigAndMetrics:
             parse_train_config("just some words")
         with pytest.raises(UsageError):
             parse_train_config("steps=0")
+
+    @pytest.mark.parametrize("line", ["preset=huge", "dataset=nope"])
+    def test_unknown_preset_or_dataset_is_usage_error(self, line):
+        with pytest.raises(UsageError, match=line.split("=")[0]):
+            parse_train_config(line)
 
     def test_metrics_csv(self, tmp_path):
         hist = [LossReport(1.5, 0.5, 1.75, 0.5), LossReport(1.2, 0.4, 1.4, 0.5)]
