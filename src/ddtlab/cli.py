@@ -26,16 +26,10 @@ from .errors import FormatError, NumericalError, UsageError
 from .metrics import mmd_rbf, spectral_distance
 from .model import DDTModel, load_checkpoint, preset, save_checkpoint
 from .rng import substream
-from .samplers import (
-    GuidanceSpec,
-    SOLVER_ORDERS,
-    adams_sample,
-    euler_sample,
-    make_timegrid,
-    model_velocity_field,
-)
+from .samplers import GuidanceSpec, SOLVER_ORDERS, make_timegrid
 from .sharesched import (
     SharingPlan,
+    SimilarityMatrix,
     plan_bruteforce,
     plan_dp,
     plan_uniform,
@@ -88,6 +82,13 @@ def _write_npy(path, array: np.ndarray) -> None:
     os.replace(tmp, path)
 
 
+def _load_model(path) -> tuple[DDTModel, dict[str, np.ndarray]]:
+    """The model in a checkpoint, plus every array the file holds (the
+    optimizer state and the step count of a training run among them)."""
+    config, arrays = load_checkpoint(path)
+    return DDTModel.from_arrays(config, arrays), arrays
+
+
 def _write_manifest(out_dir: str, command: str, seed: int, inputs: list,
                     outputs: list[str], settings: dict) -> None:
     manifest = {
@@ -114,22 +115,20 @@ def cmd_train(args) -> int:
         config.steps = args.steps
     config.validate()
 
-    os.makedirs(args.out, exist_ok=True)
     inputs = [args.config]
     start_step = 0
     optimizer = None
 
     if args.resume is not None:
-        model_config, arrays = load_checkpoint(args.resume)
-        model = DDTModel.from_arrays(
-            model_config,
-            {k: v for k, v in arrays.items()
-             if not k.startswith("opt.") and k != "train.step"})
+        model, arrays = _load_model(args.resume)
+        if model.config != preset(config.preset):
+            raise UsageError(f"config preset={config.preset} does not match "
+                             f"the model config in {args.resume}")
         if "train.step" not in arrays:
             raise FormatError(f"{args.resume} has no training progress record")
         start_step = int(arrays["train.step"][0])
         optimizer = Adam(dict(model.named_parameters()), lr=config.lr)
-        optimizer.load_state({k: v for k, v in arrays.items() if k.startswith("opt.")})
+        optimizer.load_state(arrays)
         inputs.append(args.resume)
     else:
         model = DDTModel(preset(config.preset), seed=config.seed)
@@ -138,6 +137,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"checkpoint already at step {start_step}, "
                          f"nothing to do for steps={config.steps}")
 
+    os.makedirs(args.out, exist_ok=True)
     dataset = dataset_for(config, model.config)
     history, optimizer = train(
         model, dataset, steps=config.steps, batch_size=config.batch,
@@ -175,13 +175,6 @@ def _budget_from_ratio(num_steps: int, ratio: float) -> int:
     return max(1, math.ceil(num_steps * (1.0 - ratio)))
 
 
-def _solve(field, x0, grid, solver, recorder=None):
-    if solver == "euler":
-        return euler_sample(field, x0, grid, recorder=recorder)
-    return adams_sample(field, x0, grid, order=SOLVER_ORDERS[solver],
-                        recorder=recorder)
-
-
 def _check_shift(shift: float) -> None:
     if shift < 1.0:
         raise UsageError(f"--shift must be >= 1, got {shift}")
@@ -199,11 +192,7 @@ def cmd_sample(args) -> int:
     if not 0.0 <= a < b <= 1.0:
         raise UsageError(f"--cfg-interval needs 0 <= a < b <= 1, got {a} {b}")
 
-    model_config, arrays = load_checkpoint(args.checkpoint)
-    model = DDTModel.from_arrays(
-        model_config,
-        {k: v for k, v in arrays.items()
-         if not k.startswith("opt.") and k != "train.step"})
+    model, _ = _load_model(args.checkpoint)
     inputs = [args.checkpoint]
 
     # w == 1 is the neutral setting: guidance fully disabled, one branch
@@ -224,21 +213,16 @@ def cmd_sample(args) -> int:
         plan = plan_uniform(args.steps, _budget_from_ratio(args.steps, args.share_ratio))
 
     grid = make_timegrid(args.steps, shift=args.shift)
-    shape = (args.num, model_config.channels, model_config.image_size,
-             model_config.image_size)
+    shape = (args.num, model.config.channels, model.config.image_size,
+             model.config.image_size)
     x0 = substream(args.seed, "noise").standard_normal(shape)
-    y = substream(args.seed, "labels").integers(0, model_config.num_classes,
+    y = substream(args.seed, "labels").integers(0, model.config.num_classes,
                                                 size=args.num)
 
     model.reset_counters()
-    if plan is None:
-        field = model_velocity_field(model, y, guidance=guidance)
-        samples = _solve(field, x0, grid, args.solver)
-        expected_k = args.steps
-    else:
-        samples = sample_with_sharing(model, x0, grid, plan, y,
-                                      guidance=guidance, solver=args.solver)
-        expected_k = plan.K
+    samples = sample_with_sharing(model, x0, grid, plan, y,
+                                  guidance=guidance, solver=args.solver)
+    expected_k = args.steps if plan is None else plan.K
 
     # closed-form counts must agree with the instrumented model
     if model.nfe_encoder != expected_k * branches:
@@ -248,9 +232,9 @@ def cmd_sample(args) -> int:
         raise NumericalError(
             f"decoder NFE {model.nfe_decoder} != {args.steps}*{branches}")
 
-    dataset = make_dataset(args.dataset, image_size=model_config.image_size,
-                           channels=model_config.channels,
-                           num_classes=model_config.num_classes)
+    dataset = make_dataset(args.dataset, image_size=model.config.image_size,
+                           channels=model.config.channels,
+                           num_classes=model.config.num_classes)
     held, _ = dataset.sample(substream(args.seed, "eval"), args.num)
     noise = substream(args.seed, "noise-baseline").standard_normal(held.shape)
 
@@ -287,6 +271,19 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _probe_checkpoint(args) -> SimilarityMatrix:
+    """Step similarity along the checkpoint's conditional, unguided
+    trajectory from a seeded probe batch (no CFG: see `plan --help`)."""
+    model, _ = _load_model(args.checkpoint)
+    cfg = model.config
+    shape = (args.probe_size, cfg.channels, cfg.image_size, cfg.image_size)
+    x0 = substream(args.seed, "probe").standard_normal(shape)
+    y = substream(args.seed, "probe-labels").integers(
+        0, cfg.num_classes, size=args.probe_size)
+    grid = make_timegrid(args.steps, shift=args.shift)
+    return probe_similarity(model, x0, grid, y, solver=args.solver)
+
+
 def cmd_plan(args) -> int:
     if (args.similarity is None) == (args.checkpoint is None):
         raise UsageError("provide exactly one of --similarity or --checkpoint")
@@ -299,19 +296,8 @@ def cmd_plan(args) -> int:
         sim = read_similarity(args.similarity)
         inputs.append(args.similarity)
     else:
-        model_config, arrays = load_checkpoint(args.checkpoint)
-        model = DDTModel.from_arrays(
-            model_config,
-            {k: v for k, v in arrays.items()
-             if not k.startswith("opt.") and k != "train.step"})
+        sim = _probe_checkpoint(args)
         inputs.append(args.checkpoint)
-        shape = (args.probe_size, model_config.channels,
-                 model_config.image_size, model_config.image_size)
-        x0 = substream(args.seed, "probe").standard_normal(shape)
-        y = substream(args.seed, "probe-labels").integers(
-            0, model_config.num_classes, size=args.probe_size)
-        grid = make_timegrid(args.steps, shift=args.shift)
-        sim = probe_similarity(model, x0, grid, y, solver=args.solver)
 
     n = sim.N
     if args.budget is not None:
@@ -390,19 +376,8 @@ def cmd_diagnose(args) -> int:
         outputs.append(name)
 
     if args.checkpoint is not None:
-        model_config, arrays = load_checkpoint(args.checkpoint)
-        model = DDTModel.from_arrays(
-            model_config,
-            {k: v for k, v in arrays.items()
-             if not k.startswith("opt.") and k != "train.step"})
+        sim = _probe_checkpoint(args)
         inputs.append(args.checkpoint)
-        shape = (args.probe_size, model_config.channels,
-                 model_config.image_size, model_config.image_size)
-        x0 = substream(args.seed, "probe").standard_normal(shape)
-        y = substream(args.seed, "probe-labels").integers(
-            0, model_config.num_classes, size=args.probe_size)
-        grid = make_timegrid(args.steps, shift=args.shift)
-        sim = probe_similarity(model, x0, grid, y, solver=args.solver)
         # plot-ready heatmap: N rows of N comma-separated values
         tmp = os.path.join(args.out, "similarity.csv.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -468,7 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", default="runs/sample")
     p_sample.set_defaults(func=cmd_sample)
 
-    p_plan = sub.add_parser("plan", help="compute an encoder-sharing plan")
+    p_plan = sub.add_parser(
+        "plan", help="compute an encoder-sharing plan",
+        description="Compute an encoder-sharing plan from a similarity file "
+                    "or by probing a checkpoint. The probe runs the "
+                    "conditional, unguided field even when sampling will use "
+                    "CFG, so a guided run follows a nearby trajectory, not "
+                    "the probed one.")
     p_plan.add_argument("--similarity", default=None,
                         help="similarity matrix file")
     p_plan.add_argument("--checkpoint", default=None,
@@ -493,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="spectral and similarity dumps")
     p_diag.add_argument("--dataset", choices=DATASETS, default="bandlimited")
     p_diag.add_argument("--checkpoint", default=None,
-                        help="also probe step similarity of this model")
+                        help="also probe step similarity of this model "
+                             "(conditional, unguided field)")
     p_diag.add_argument("--seed", type=int, default=0)
     p_diag.add_argument("--t-list", default="0.1,0.3,0.5,0.7,0.9",
                         help="comma-separated mixing times")

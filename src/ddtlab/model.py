@@ -21,8 +21,9 @@ the encoder a stable per-token regression target without external weights.
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,9 +58,6 @@ __all__ = [
     "teacher_layout",
     "parameter_count",
     "monolithic_parameter_count",
-    "encoder_forward",
-    "decoder_forward",
-    "teacher_features",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_MAGIC",
@@ -157,14 +155,10 @@ def preset(name: str) -> ModelConfig:
 
 @dataclass
 class ConditionBundle:
-    """Encoder output handed to the decoder.
-
-    t_embedding/y_embedding record the conditioning used at encode time;
-    the decoder re-embeds its own current t, so reusing a bundle at a later
-    timestep shares exactly the self-condition feature and nothing else.
+    """Encoder output handed to the decoder: the self-condition feature
+    alone. The decoder re-embeds its own current t, so reusing a bundle at
+    a later timestep shares exactly z and nothing else.
     """
-    t_embedding: Tensor
-    y_embedding: Tensor
     z_t: Tensor
 
 
@@ -429,26 +423,24 @@ class DDTModel:
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "DDTModel":
+        """The model whose parameters and teacher weights `arrays` holds
+        under their layout names; any other key is ignored."""
+
+        def array(name, shape):
+            if name not in arrays:
+                raise FormatError(f"checkpoint missing parameter {name!r}")
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != shape:
+                raise FormatError(f"parameter {name!r} has shape {arr.shape}, "
+                                  f"expected {shape}")
+            return arr
+
         model = cls.__new__(cls)
         model.config = config
-        model.params = {}
-        for name, shape in parameter_layout(config):
-            if name not in arrays:
-                raise FormatError(f"checkpoint missing parameter {name!r}")
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != shape:
-                raise FormatError(f"parameter {name!r} has shape {arr.shape}, "
-                                  f"expected {shape}")
-            model.params[name] = Tensor(arr, requires_grad=True)
-        model.teacher = {}
-        for name, shape in teacher_layout(config):
-            if name not in arrays:
-                raise FormatError(f"checkpoint missing parameter {name!r}")
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != shape:
-                raise FormatError(f"parameter {name!r} has shape {arr.shape}, "
-                                  f"expected {shape}")
-            model.teacher[name] = arr
+        model.params = {name: Tensor(array(name, shape), requires_grad=True)
+                        for name, shape in parameter_layout(config)}
+        model.teacher = {name: array(name, shape)
+                         for name, shape in teacher_layout(config)}
         model.nfe_encoder = 0
         model.nfe_decoder = 0
         return model
@@ -557,7 +549,7 @@ class DDTModel:
                 h_align = h
         z = self._norm(h)
         self.nfe_encoder += 1
-        return ConditionBundle(t_embedding=t_emb, y_embedding=y_emb, z_t=z), h_align
+        return ConditionBundle(z_t=z), h_align
 
     def decode(self, x_t, t, bundle: ConditionBundle) -> Tensor:
         """v_t = Decoder(x_t, t, z_t). No class label enters here; the
@@ -611,18 +603,6 @@ class DDTModel:
         return self._linear(mid, "halign", "w2", "b2")
 
 
-def encoder_forward(model: DDTModel, x_t, t, y):
-    return model.encode(x_t, t, y)
-
-
-def decoder_forward(model: DDTModel, x_t, t, bundle: ConditionBundle):
-    return model.decode(x_t, t, bundle)
-
-
-def teacher_features(model: DDTModel, x_clean):
-    return model.teacher_features(x_clean)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint format
 # ---------------------------------------------------------------------------
@@ -656,10 +636,23 @@ def save_checkpoint(path, config: ModelConfig, arrays: dict[str, np.ndarray]) ->
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    """n bytes or FormatError. A length read from a corrupt file is checked
+    against what the file has left before anything is read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"checkpoint truncated: {what} needs {n} bytes, "
+                          f"{left} left")
     buf = fh.read(n)
     if len(buf) != n:
         raise FormatError(f"checkpoint truncated while reading {what}")
     return buf
+
+
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"checkpoint {what} is not UTF-8: {exc}") from exc
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
@@ -668,7 +661,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = _read_exact(fh, header_len, "header").decode("utf-8")
+        header = _decode(_read_exact(fh, header_len, "header"), "header")
         fields: dict[str, str] = {}
         for line in header.splitlines():
             if not line.strip():
@@ -694,16 +687,12 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             if len(head) != 4:
                 raise FormatError("checkpoint truncated in block header")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "block name").decode("utf-8")
+            name = _decode(_read_exact(fh, name_len, "block name"), "block name")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
             if rank > 16:
                 raise FormatError(f"block {name!r} has implausible rank {rank}")
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} dims"))
-            count = int(np.prod(dims)) if rank else 1
-            raw = _read_exact(fh, 8 * count, f"{name} data")
+            # a Python int product: numpy's int64 one wraps for large dims
+            raw = _read_exact(fh, 8 * math.prod(dims), f"{name} data")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
     return config, arrays
-
-
-def config_with(cfg: ModelConfig, **kwargs) -> ModelConfig:
-    return replace(cfg, **kwargs)

@@ -26,17 +26,15 @@ passes rather than compositions of elementwise nodes:
 Each keeps the operation order of the composition it replaces, so a
 forward pass under no_grad is bit-identical to the composed one.
 
-Also home to two numeric primitives used across the package: the
-orthonormal type-II DCT (direct O(n^2) matrix product, plenty at desk
-scale) and cosine similarity with a documented degenerate-input rule.
+Also home to the orthonormal type-II DCT basis used across the package
+(applied as a direct O(n^2) matrix product, plenty at desk scale).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +42,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "concat",
     "linear",
     "rms_norm",
     "layer_norm",
@@ -53,11 +50,7 @@ __all__ = [
     "self_attention",
     "swiglu",
     "silu",
-    "dct_ortho",
-    "idct_ortho",
     "dct_matrix",
-    "cosine_similarity",
-    "DegenerateSimilarityWarning",
 ]
 
 _GRAD_ENABLED = True
@@ -333,19 +326,6 @@ class Tensor:
 
         return Tensor._node(out_data, (self,), backward)
 
-    def narrow(self, axis: int, start: int, length: int):
-        """Contiguous slice along one axis; backward zero-pads."""
-        index = _window(self.ndim, axis, start, length)
-        out_data = self.data[index]
-
-        def backward(g):
-            if self.requires_grad:
-                full = np.zeros(self.shape)
-                full[index] = g
-                self._accumulate(full)
-
-        return Tensor._node(out_data, (self,), backward)
-
     def chunk(self, n: int, axis: int = -1) -> list["Tensor"]:
         """n equal slices along an axis.
 
@@ -394,15 +374,6 @@ class Tensor:
 
     # -- pointwise nonlinearities ------------------------------------------------------
 
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data)
-
-        return Tensor._node(out_data, (self,), backward)
-
     def sqrt(self):
         out_data = np.sqrt(self.data)
 
@@ -420,16 +391,6 @@ class Tensor:
                 self._accumulate(g * (1.0 - out_data * out_data))
 
         return Tensor._node(out_data, (self,), backward)
-
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._node(out_data, (self,), backward)
-
 
 def _window(ndim: int, axis: int, start: int, length: int) -> tuple:
     index = [slice(None)] * ndim
@@ -457,27 +418,8 @@ def topological_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate along an axis; backward splits the gradient."""
-    parts = [Tensor._coerce(t) for t in tensors]
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    ax = axis if axis >= 0 else out_data.ndim + axis
-    widths = [p.shape[ax] for p in parts]
-
-    def backward(g):
-        offset = 0
-        for part, width in zip(parts, widths):
-            if part.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[ax] = slice(offset, offset + width)
-                part._accumulate(g[tuple(index)])
-            offset += width
-
-    return Tensor._node(out_data, parts, backward)
-
-
 # ---------------------------------------------------------------------------
-# DCT and similarity primitives
+# DCT basis
 # ---------------------------------------------------------------------------
 
 
@@ -492,53 +434,6 @@ def dct_matrix(n: int) -> np.ndarray:
     mat *= np.sqrt(2.0 / n)
     mat[0] *= np.sqrt(0.5)
     return mat
-
-
-def _as_array(v) -> np.ndarray:
-    return v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
-
-
-def dct_ortho(v):
-    """Orthonormal DCT-II of a length-n vector. Energy preserving."""
-    arr = _as_array(v)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("dct_ortho expects a non-empty 1-d vector")
-    out = dct_matrix(arr.size) @ arr
-    return Tensor(out) if isinstance(v, Tensor) else out
-
-
-def idct_ortho(v):
-    """Inverse of dct_ortho (the transpose of the orthonormal matrix)."""
-    arr = _as_array(v)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("idct_ortho expects a non-empty 1-d vector")
-    out = dct_matrix(arr.size).T @ arr
-    return Tensor(out) if isinstance(v, Tensor) else out
-
-
-class DegenerateSimilarityWarning(UserWarning):
-    """A zero-norm vector hit cosine_similarity; the result defaults to 0."""
-
-
-def cosine_similarity(a, b, warn: bool = True) -> float:
-    """dot(a,b) / (|a||b|), flattened.
-
-    A zero-norm argument returns 0.0 (with a warning) instead of raising,
-    so a degenerate probe feature never aborts a planning run.
-    """
-    av = _as_array(a).ravel()
-    bv = _as_array(b).ravel()
-    if av.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
-        if warn:
-            warnings.warn("zero-norm input to cosine_similarity; returning 0.0",
-                          DegenerateSimilarityWarning, stacklevel=2)
-        return 0.0
-    value = float(av @ bv) / (na * nb)
-    return max(-1.0, min(1.0, value))
 
 
 # ---------------------------------------------------------------------------

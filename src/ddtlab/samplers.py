@@ -142,22 +142,6 @@ class TrajectoryRecorder:
         os.replace(tmp, path)
 
 
-def euler_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid,
-                 recorder: TrajectoryRecorder | None = None) -> np.ndarray:
-    """x_{i+1} = x_i + (t_{i+1} - t_i) * v(x_i, t_i); one field call per step."""
-    x = np.asarray(x_0, dtype=np.float64)
-    _check_finite(x, 0, grid.nodes[0])
-    nodes = grid.nodes
-    for i in range(grid.steps):
-        v = np.asarray(velocity_field(x, nodes[i]), dtype=np.float64)
-        _check_finite(v, i, nodes[i])
-        if recorder is not None:
-            recorder.record(i, nodes[i], x, v)
-        x = x + (nodes[i + 1] - nodes[i]) * v
-        _check_finite(x, i, nodes[i + 1])
-    return x
-
-
 def lagrange_coefficients(times, interval) -> np.ndarray:
     """Integrals over [interval] of the Lagrange basis polynomials on the
     given nodes, in node order. Closed-form antiderivatives, no quadrature.
@@ -181,14 +165,13 @@ def lagrange_coefficients(times, interval) -> np.ndarray:
 SOLVER_ORDERS = {"euler": 1, "adams2": 2, "adams3": 3}
 
 
-def adams_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
-                 recorder: TrajectoryRecorder | None = None) -> np.ndarray:
-    """Explicit linear multistep with pre-integrated coefficients.
+def _integrate(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
+               recorder: TrajectoryRecorder | None) -> np.ndarray:
+    """The one solver loop: explicit linear multistep with pre-integrated
+    coefficients, one field call per step.
 
     Warm-up: step 0 runs order 1, step 1 order 2, and so on until the
-    requested order's history is available. One field call per step."""
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2, or 3")
+    requested order's history is available."""
     x = np.asarray(x_0, dtype=np.float64)
     _check_finite(x, 0, grid.nodes[0])
     nodes = grid.nodes
@@ -219,6 +202,22 @@ def adams_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
     return x
 
 
+def euler_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid,
+                 recorder: TrajectoryRecorder | None = None) -> np.ndarray:
+    """x_{i+1} = x_i + (t_{i+1} - t_i) * v(x_i, t_i): the multistep loop at
+    order 1."""
+    return _integrate(velocity_field, x_0, grid, 1, recorder)
+
+
+def adams_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
+                 recorder: TrajectoryRecorder | None = None) -> np.ndarray:
+    """Adams-Bashforth of the given order (1, 2 or 3) with a warm-up of
+    lower orders; order 1 is Euler bit for bit."""
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2, or 3")
+    return _integrate(velocity_field, x_0, grid, order, recorder)
+
+
 def sde_coefficients(schedule: LinearSchedule, t: float) -> tuple[float, float]:
     """(f, g^2) at t: f = 1/t, g^2 = -2(1-t)/t. Singular at t=0."""
     t = float(t)
@@ -243,21 +242,34 @@ def velocity_to_score(v, x_t, t: float) -> np.ndarray:
     return -eps_hat / (1.0 - float(t))
 
 
-def model_velocity_field(model, y, guidance: GuidanceSpec | None = None):
-    """Wrap a model as a sampler-compatible field. With guidance, both the
-    conditional and the null-class branch are evaluated at every step and
-    combined; without it only the conditional branch runs."""
+def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
+                         anchor_times=None, on_encode=None):
+    """Wrap a model as a sampler-compatible field (x, t) -> v.
+
+    With guidance, the conditional and the null-class branch both run and
+    are combined; without it only the conditional branch runs. The encoder
+    runs at every call when anchor_times is None; otherwise only when t is
+    one of anchor_times, and the calls in between reuse the last z of each
+    branch, so full sampling is the plan whose every step is an anchor.
+    on_encode(z) receives the conditional z_t each time the encoder runs."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     null = model.config.null_class
+    bundles = {}
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
         with no_grad():
-            bundle_c, _ = model.encode(x, t, y)
-            v_c = model.decode(x, t, bundle_c).data
-            if guidance is None:
-                return v_c
-            bundle_u, _ = model.encode(x, t, np.full_like(y, null))
-            v_u = model.decode(x, t, bundle_u).data
-            return guided_velocity(v_c, v_u, guidance, t)
+            if anchor_times is None or float(t) in anchor_times:
+                bundles["c"], _ = model.encode(x, t, y)
+                if on_encode is not None:
+                    on_encode(bundles["c"].z_t.data)
+                if guidance is not None:
+                    bundles["u"], _ = model.encode(x, t, np.full_like(y, null))
+            v = model.decode(x, t, bundles["c"]).data
+            if guidance is not None:
+                v_u = model.decode(x, t, bundles["u"]).data
+                v = guided_velocity(v, v_u, guidance, t)
+        if anchor_times is None:
+            bundles.clear()  # no call reuses z, so none is held between calls
+        return v
 
     return field

@@ -30,13 +30,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import FormatError
-from .numcore import no_grad
 from .samplers import (
     GuidanceSpec,
     TimeGrid,
     adams_sample,
     euler_sample,
-    guided_velocity,
+    model_velocity_field,
     SOLVER_ORDERS,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "plan_uniform",
     "plan_dp",
     "plan_bruteforce",
-    "make_sharing_field",
     "sample_with_sharing",
     "write_similarity",
     "read_similarity",
@@ -252,33 +250,29 @@ def plan_bruteforce(S, K: int) -> SharingPlan:
 # ---------------------------------------------------------------------------
 
 
+def _solve(field, x_0: np.ndarray, grid: TimeGrid, solver: str, recorder=None):
+    """The one solver dispatch. It calls the solvers by this module's names
+    for them, so a caller that rebinds those names sees every solve."""
+    if solver not in SOLVER_ORDERS:
+        raise ValueError(f"unknown solver {solver!r}; choose from {sorted(SOLVER_ORDERS)}")
+    if solver == "euler":
+        return euler_sample(field, x_0, grid, recorder=recorder)
+    return adams_sample(field, x_0, grid, order=SOLVER_ORDERS[solver],
+                        recorder=recorder)
+
+
 def probe_similarity(model, probe_x0: np.ndarray, grid: TimeGrid, y,
-                     guidance: GuidanceSpec | None = None,
                      solver: str = "euler") -> SimilarityMatrix:
-    """Full (non-shared) sampling on the probe batch, recording z at every
-    step; S[i][j] is the probe-averaged cosine between flattened z_i, z_j."""
+    """Full, unguided sampling on the probe batch, recording z at every
+    step; S[i][j] is the probe-averaged cosine between flattened z_i and
+    z_j, and a zero-norm z contributes 0."""
     x0 = np.asarray(probe_x0, dtype=np.float64)
     if x0.ndim != 4 or x0.shape[0] < 1:
         raise ValueError("probe batch must be a non-empty [P,C,H,W] array")
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    null = model.config.null_class
     zs: list[np.ndarray] = []
-
-    def field(x, t):
-        with no_grad():
-            bundle_c, _ = model.encode(x, t, y)
-            zs.append(bundle_c.z_t.data.reshape(x.shape[0], -1).copy())
-            v_c = model.decode(x, t, bundle_c).data
-            if guidance is None:
-                return v_c
-            bundle_u, _ = model.encode(x, t, np.full_like(y, null))
-            v_u = model.decode(x, t, bundle_u).data
-            return guided_velocity(v_c, v_u, guidance, t)
-
-    if solver == "euler":
-        euler_sample(field, x0, grid)
-    else:
-        adams_sample(field, x0, grid, order=SOLVER_ORDERS[solver])
+    field = model_velocity_field(
+        model, y, on_encode=lambda z: zs.append(z.reshape(x0.shape[0], -1).copy()))
+    _solve(field, x0, grid, solver)
     z = np.stack(zs)  # [N, P, D]
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
     zn = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0.0)
@@ -289,46 +283,20 @@ def probe_similarity(model, probe_x0: np.ndarray, grid: TimeGrid, y,
     return SimilarityMatrix(np.clip(s, -1.0, 1.0))
 
 
-def make_sharing_field(model, grid: TimeGrid, plan: SharingPlan, y,
-                       guidance: GuidanceSpec | None = None):
-    """Velocity field that re-encodes only at anchor steps and reuses the
-    cached z (per guidance branch) everywhere else."""
-    if plan.N != grid.steps:
-        raise ValueError(f"plan covers {plan.N} steps but grid has {grid.steps}")
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    null = model.config.null_class
-    index_of = {float(t): i for i, t in enumerate(grid.nodes[:-1])}
-    anchors = set(plan.anchors)
-    cache: dict[str, object] = {}
-
-    def field(x, t):
-        i = index_of[float(t)]
-        with no_grad():
-            if i in anchors:
-                cache["c"], _ = model.encode(x, t, y)
-                if guidance is not None:
-                    cache["u"], _ = model.encode(x, t, np.full_like(y, null))
-            v_c = model.decode(x, t, cache["c"]).data
-            if guidance is None:
-                return v_c
-            v_u = model.decode(x, t, cache["u"]).data
-            return guided_velocity(v_c, v_u, guidance, t)
-
-    return field
-
-
-def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid, plan: SharingPlan,
-                        y, guidance: GuidanceSpec | None = None,
+def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid,
+                        plan: SharingPlan | None, y,
+                        guidance: GuidanceSpec | None = None,
                         solver: str = "euler", recorder=None) -> np.ndarray:
-    """Run the ODE with encoder sharing: encoder fires K times per guidance
-    branch, decoder once per step per branch."""
-    if solver not in SOLVER_ORDERS:
-        raise ValueError(f"unknown solver {solver!r}; choose from {sorted(SOLVER_ORDERS)}")
-    field = make_sharing_field(model, grid, plan, y, guidance)
-    if solver == "euler":
-        return euler_sample(field, x_0, grid, recorder=recorder)
-    return adams_sample(field, x_0, grid, order=SOLVER_ORDERS[solver],
-                        recorder=recorder)
+    """Run the ODE with encoder sharing: the encoder fires once per anchor
+    and guidance branch, the decoder once per step and branch. plan=None
+    makes every step an anchor, which is full sampling."""
+    anchor_times = None
+    if plan is not None:
+        if plan.N != grid.steps:
+            raise ValueError(f"plan covers {plan.N} steps but grid has {grid.steps}")
+        anchor_times = {float(grid.nodes[i]) for i in plan.anchors}
+    field = model_velocity_field(model, y, guidance, anchor_times=anchor_times)
+    return _solve(field, x_0, grid, solver, recorder)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +325,16 @@ def write_similarity(path, S) -> None:
     os.replace(tmp, path)
 
 
+def _read_lines(path) -> list[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def read_similarity(path) -> SimilarityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = _read_lines(path)
     if not lines or lines[0] != _SIM_MAGIC:
         raise FormatError(f"not a similarity file: {path}")
     if len(lines) < 2 or not lines[1].startswith("N="):
@@ -397,8 +372,7 @@ def write_plan(path, plan: SharingPlan, checksum: str = "none") -> None:
 
 
 def read_plan(path) -> tuple[SharingPlan, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
     if not lines or lines[0] != _PLAN_MAGIC:
         raise FormatError(f"not a plan file: {path}")
     fields: dict[str, str] = {}

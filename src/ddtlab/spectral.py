@@ -31,7 +31,6 @@ __all__ = [
     "dct2",
     "idct2",
     "radial_spectrum",
-    "expected_spectrum",
     "retained_frequency",
     "lemma_bound",
     "empirical_noisy_spectrum",
@@ -114,10 +113,6 @@ class SpectrumProfile:
         """Highest bin the data occupies (its bandlimit)."""
         nonzero = np.nonzero(self.data_coefficients > 0.0)[0]
         return int(nonzero[-1]) if nonzero.size else 0
-
-
-def expected_spectrum(profile: SpectrumProfile, t: float) -> SpectrumProfile:
-    return SpectrumProfile(profile.data_coefficients, lam=profile.lam, t=t)
 
 
 def retained_frequency(profile: SpectrumProfile) -> int:

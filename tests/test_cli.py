@@ -128,6 +128,18 @@ def test_train_missing_config_exits_3(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+def test_train_resume_with_other_preset_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.txt", steps=2)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    other = write_config(tmp_path / "b2.txt", preset="b2", steps=4)
+    assert main(["train", "--config", str(other),
+                 "--resume", str(out / "checkpoint.ckpt"),
+                 "--out", str(tmp_path / "again")]) == 2
+    assert "preset=b2" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
 def test_train_resume_past_end_exits_2(tmp_path):
     cfg = write_config(tmp_path / "config.txt", steps=4)
     out = tmp_path / "run"
@@ -230,6 +242,28 @@ def test_sample_corrupt_checkpoint_exits_3(tmp_path):
     bad.write_bytes(b"not a checkpoint at all")
     assert main(["sample", "--checkpoint", str(bad), "--num", "4",
                  "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--plan", "--similarity"])
+def test_non_utf8_input_exits_3(tmp_path, tiny_ckpt, flag):
+    # a 0xff byte in the header of a checkpoint, plan or similarity file
+    write_plan(tmp_path / "plan.txt", plan_uniform(4, 2))
+    good, marker = {
+        "--checkpoint": (tiny_ckpt.read_bytes(), b"encoder_layers"),
+        "--plan": ((tmp_path / "plan.txt").read_bytes(), b"N="),
+        "--similarity": (b"ddtlab-similarity v1\nN=1\n1\n", b"N="),
+    }[flag]
+    at = good.index(marker)
+    bad = tmp_path / "bad"
+    bad.write_bytes(good[:at] + b"\xff" + good[at + 1:])
+    argv = {
+        "--checkpoint": ["sample", "--checkpoint", str(bad)],
+        "--plan": ["sample", "--checkpoint", str(tiny_ckpt), "--steps", "4",
+                   "--plan", str(bad)],
+        "--similarity": ["plan", "--similarity", str(bad), "--budget", "1"],
+    }[flag]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
 
 
 def test_sample_divergent_model_exits_4(tmp_path):

@@ -26,7 +26,7 @@ from ddtlab.model import (
     unpatchify,
 )
 from ddtlab.model import _rope_tables
-from ddtlab.numcore import Tensor, concat, gelu_tanh, no_grad
+from ddtlab.numcore import Tensor, gelu_tanh, no_grad
 from test_numcore import composed_attention
 
 RNG = np.random.default_rng(42)
@@ -247,12 +247,12 @@ class TestEncoderDecoder:
         x = RNG.standard_normal((1, 1, 4, 4))
         ba, _ = model.encode(x, 0.5, 0)
         bb, _ = model.encode(x, 0.5, 1)
-        # same z handed to the decoder with different recorded labels
-        fake = ConditionBundle(t_embedding=bb.t_embedding,
-                               y_embedding=bb.y_embedding, z_t=ba.z_t)
+        # the label reaches the decoder only through z: a bundle built
+        # from a copy of z decodes exactly as the encoder's own bundle
+        same_z = ConditionBundle(z_t=Tensor(ba.z_t.data.copy()))
         va = model.decode(x, 0.5, ba)
-        vb = model.decode(x, 0.5, fake)
-        assert np.array_equal(va.data, vb.data)
+        assert np.array_equal(model.decode(x, 0.5, same_z).data, va.data)
+        assert not np.array_equal(model.decode(x, 0.5, bb).data, va.data)
 
     def test_rejects_bad_t_and_y(self):
         model = DDTModel(tiny_config(), seed=0)
@@ -268,8 +268,7 @@ class TestEncoderDecoder:
         model = DDTModel(tiny_config(), seed=0)
         x = np.zeros((1, 1, 4, 4))
         bundle, _ = model.encode(x, 0.5, 0)
-        bad = ConditionBundle(bundle.t_embedding, bundle.y_embedding,
-                              Tensor(np.zeros((1, 3, 8))))
+        bad = ConditionBundle(Tensor(np.zeros((1, 3, 8))))
         with pytest.raises(ValueError):
             model.decode(x, 0.5, bad)
 
@@ -426,6 +425,26 @@ class TestCheckpoint:
         header = b"\n".join(lines)
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header
                          + blob[start + header_len:])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", ["header-not-utf8", "name-not-utf8", "dims-wrap"])
+    def test_corrupt_bytes_rejected(self, tmp_path, case):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_config(), {})
+        blob = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 4
+
+        def block(name, dims, data=b""):
+            return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
+                    + struct.pack(f"<{len(dims)}I", *dims) + data)
+
+        path.write_bytes({
+            "header-not-utf8": blob[:start] + b"\xff" + blob[start + 1:],
+            "name-not-utf8": blob + block(b"\xffw", (1,), bytes(8)),
+            # 65536**4 = 2**64 elements, which an int64 product wraps to 0
+            "dims-wrap": blob + block(b"w", (65536,) * 4),
+        }[case])
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

@@ -11,12 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from ddtlab.errors import FormatError
 from ddtlab.model import DDTModel, ModelConfig
-from ddtlab.samplers import GuidanceSpec, euler_sample, make_timegrid, model_velocity_field
+from ddtlab.samplers import (
+    GuidanceSpec,
+    adams_sample,
+    euler_sample,
+    make_timegrid,
+    model_velocity_field,
+)
 from ddtlab.sharesched import (
     DPState,
     SharingPlan,
     SimilarityMatrix,
-    make_sharing_field,
     plan_bruteforce,
     plan_dp,
     plan_uniform,
@@ -337,6 +342,8 @@ def test_sharing_full_budget_is_bit_exact():
     plan = SharingPlan(N=6, anchors=tuple(range(6)))
     shared = sample_with_sharing(model, x0, grid, plan, y)
     assert np.array_equal(full, shared)
+    # no plan: every step is an anchor
+    assert np.array_equal(full, sample_with_sharing(model, x0, grid, None, y))
 
 
 def test_sharing_full_budget_guided_bit_exact():
@@ -404,6 +411,9 @@ def test_sharing_with_adams_solver_runs():
     out = sample_with_sharing(model, x0, grid, plan_uniform(6, 3), y=[0],
                               solver="adams2")
     assert out.shape == x0.shape
+    full = adams_sample(model_velocity_field(model, [0]), x0, grid, order=2)
+    assert np.array_equal(sample_with_sharing(model, x0, grid, None, [0], solver="adams2"),
+                          full)
     with pytest.raises(ValueError, match="unknown solver"):
         sample_with_sharing(model, x0, grid, plan_uniform(6, 3), y=[0],
                             solver="heun")
@@ -411,8 +421,9 @@ def test_sharing_with_adams_solver_runs():
 
 def test_sharing_plan_grid_mismatch():
     model = nudged_model()
+    x0 = np.zeros((1, 1, 4, 4))
     with pytest.raises(ValueError, match="plan covers"):
-        make_sharing_field(model, make_timegrid(5), plan_uniform(6, 3), y=[0])
+        sample_with_sharing(model, x0, make_timegrid(5), plan_uniform(6, 3), y=[0])
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +453,17 @@ def test_similarity_file_errors(tmp_path):
         read_similarity(path)
     path.write_text("ddtlab-similarity v1\nN=2\n1 nan\nnan 1\n")
     with pytest.raises(FormatError, match="finite"):
+        read_similarity(path)
+
+
+@pytest.mark.parametrize("marker", [b"ddtlab", b"N=", b"1 0.9"])
+def test_similarity_file_not_utf8(tmp_path, marker):
+    path = tmp_path / "sim.txt"
+    write_similarity(path, WORKED)
+    good = path.read_bytes()
+    at = good.index(marker)
+    path.write_bytes(good[:at] + b"\xff" + good[at + 1:])
+    with pytest.raises(FormatError, match="UTF-8"):
         read_similarity(path)
 
 
@@ -477,3 +499,14 @@ def test_plan_file_errors(tmp_path):
         path.write_text(re.sub(f"^{field}=.*$", f"{field}=abc", good, flags=re.M))
         with pytest.raises(FormatError, match="bad plan numbers"):
             read_plan(path)
+
+
+@pytest.mark.parametrize("marker", [b"ddtlab", b"strategy=", b"anchors="])
+def test_plan_file_not_utf8(tmp_path, marker):
+    path = tmp_path / "plan.txt"
+    write_plan(path, plan_dp(WORKED, K=2))
+    good = path.read_bytes()
+    at = good.index(marker)
+    path.write_bytes(good[:at] + b"\xff" + good[at + 1:])
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_plan(path)

@@ -11,7 +11,6 @@ from ddtlab.spectral import (
     SpectrumProfile,
     dct2,
     empirical_noisy_spectrum,
-    expected_spectrum,
     idct2,
     lemma_bound,
     num_radial_bins,
@@ -77,7 +76,7 @@ def test_profile_endpoints_exact():
     c = np.array([4.0, 2.0, 0.5, 0.0])
     clean = SpectrumProfile(c, lam=1.0, t=1.0)
     assert np.array_equal(clean.coefficients, c)
-    noise_only = expected_spectrum(clean, 0.0)
+    noise_only = SpectrumProfile(c, lam=1.0, t=0.0)
     assert np.array_equal(noise_only.coefficients, np.ones(4))
     assert clean.k_freq == 2
 
@@ -92,7 +91,7 @@ def test_profile_validation():
 
 
 def test_mixture_formula_midpoint():
-    prof = expected_spectrum(SpectrumProfile(np.array([8.0, 0.0])), 0.5)
+    prof = SpectrumProfile(np.array([8.0, 0.0]), t=0.5)
     assert prof.coefficients == pytest.approx([0.25 * 8 + 0.25, 0.25])
 
 
@@ -163,9 +162,9 @@ def test_empirical_spectrum_matches_analytic():
     ds = BandlimitedDataset(image_size=8)
     rng = np.random.default_rng(3)
     x, _ = ds.sample(rng, 3000)
-    profile_data = SpectrumProfile(ds.spectrum_coefficients())
+    data = ds.spectrum_coefficients()
     for t in (0.1, 0.5, 0.9):
-        analytic = expected_spectrum(profile_data, t).coefficients
+        analytic = SpectrumProfile(data, t=t).coefficients
         empirical = empirical_noisy_spectrum(x, t, rng)
         rel = np.abs(empirical - analytic) / np.maximum(analytic, 1e-12)
         assert rel.max() < 0.05, f"t={t}: max rel err {rel.max():.3f}"
