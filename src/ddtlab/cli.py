@@ -107,6 +107,10 @@ def _write_manifest(out_dir: str, command: str, seed: int, inputs: list,
 
 
 def cmd_train(args) -> int:
+    if args.seed is not None:
+        _check_min("--seed", args.seed, 0)
+    if args.steps is not None:
+        _check_min("--steps", args.steps, 1)
     with open(args.config, "r", encoding="utf-8") as fh:
         config = parse_train_config(fh.read())
     if args.seed is not None:
@@ -175,19 +179,18 @@ def _budget_from_ratio(num_steps: int, ratio: float) -> int:
     return max(1, math.ceil(num_steps * (1.0 - ratio)))
 
 
-def _check_shift(shift: float) -> None:
-    if shift < 1.0:
-        raise UsageError(f"--shift must be >= 1, got {shift}")
+def _check_min(flag: str, value, low) -> None:
+    # `not >=` refuses a NaN float; an int is always finite
+    if not (value >= low and (isinstance(value, int) or math.isfinite(value))):
+        raise UsageError(f"{flag} must be a finite number >= {low}, got {value}")
 
 
 def cmd_sample(args) -> int:
-    if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    _check_shift(args.shift)
-    if args.cfg_w < 0.0:
-        raise UsageError(f"--cfg-w must be >= 0, got {args.cfg_w}")
-    if args.num < 2:
-        raise UsageError(f"--num must be >= 2 (the MMD needs two samples), got {args.num}")
+    _check_min("--seed", args.seed, 0)
+    _check_min("--steps", args.steps, 1)
+    _check_min("--shift", args.shift, 1)
+    _check_min("--cfg-w", args.cfg_w, 0)
+    _check_min("--num", args.num, 2)  # the MMD needs two samples
     a, b = args.cfg_interval
     if not 0.0 <= a < b <= 1.0:
         raise UsageError(f"--cfg-interval needs 0 <= a < b <= 1, got {a} {b}")
@@ -287,9 +290,10 @@ def _probe_checkpoint(args) -> SimilarityMatrix:
 def cmd_plan(args) -> int:
     if (args.similarity is None) == (args.checkpoint is None):
         raise UsageError("provide exactly one of --similarity or --checkpoint")
-    if args.probe_size < 1:
-        raise UsageError(f"--probe-size must be >= 1, got {args.probe_size}")
-    _check_shift(args.shift)
+    _check_min("--seed", args.seed, 0)
+    _check_min("--steps", args.steps, 1)
+    _check_min("--shift", args.shift, 1)
+    _check_min("--probe-size", args.probe_size, 1)
     inputs = []
 
     if args.similarity is not None:
@@ -307,7 +311,7 @@ def cmd_plan(args) -> int:
     else:
         raise UsageError("provide a budget via --budget or --share-ratio")
     if not 1 <= k <= n:
-        raise UsageError(f"budget {k} out of range [1, {n}]")
+        raise UsageError(f"--budget {k} out of range [1, {n}]")
 
     if args.strategy == "uniform":
         plan = plan_uniform(n, k)
@@ -357,7 +361,11 @@ def cmd_diagnose(args) -> int:
         t_list.append(t)
     if not t_list:
         raise UsageError("--t-list must name at least one time")
-    _check_shift(args.shift)
+    _check_min("--seed", args.seed, 0)
+    _check_min("--trials", args.trials, 1)
+    _check_min("--steps", args.steps, 1)
+    _check_min("--shift", args.shift, 1)
+    _check_min("--probe-size", args.probe_size, 1)
 
     os.makedirs(args.out, exist_ok=True)
     inputs = []

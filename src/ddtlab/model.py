@@ -3,15 +3,12 @@
 The encoder consumes (x_t, t, y) and produces a per-token self-condition
 feature z_t. The decoder consumes (x_t, t, z_t) only; the class label never
 reaches it, so any class information must travel through z_t. Both stacks
-are standard pre-norm transformer blocks whose residual branches are
-modulated by AdaLN-Zero: a zero-initialized linear maps the conditioning
-vector to (shift, scale, gate), which makes every block the exact identity
-at initialization, and a zero-initialized output projection makes the full
-model emit v == 0 on the first forward pass.
-
-Two block styles are selectable:
-  baseline  - LayerNorm, plain 4x MLP, learned absolute position embeddings
-  improved  - RMSNorm, SwiGLU feed-forward, rotary embeddings on q/k
+are built from the paper's pre-norm transformer block: RMSNorm, a SwiGLU
+feed-forward, and rotary position embeddings on q and k. Each residual
+branch is modulated by AdaLN-Zero: a zero-initialized linear maps the
+conditioning vector to (shift, scale, gate), which makes every block the
+exact identity at initialization, and a zero-initialized output projection
+makes the full model emit v == 0 on the first forward pass.
 
 The alignment teacher is a frozen random patch-convolution-plus-projection
 network standing in for a large pretrained representation model; it gives
@@ -32,8 +29,6 @@ from .errors import FormatError
 from .numcore import (
     Tensor,
     gated_residual,
-    gelu_tanh,
-    layer_norm,
     linear,
     modulate,
     rms_norm,
@@ -52,7 +47,6 @@ __all__ = [
     "patchify",
     "unpatchify",
     "adaln_modulate",
-    "layer_norm",
     "rms_norm",
     "parameter_layout",
     "teacher_layout",
@@ -75,7 +69,6 @@ class ModelConfig:
     channels: int
     num_classes: int
     alignment_layer: int
-    block_style: str = "improved"
     teacher_dim: int = 32
 
     def __post_init__(self):
@@ -92,18 +85,8 @@ class ModelConfig:
             raise ValueError("image_size must be divisible by patch_size")
         if not 1 <= self.alignment_layer <= self.encoder_layers:
             raise ValueError("alignment_layer must lie in [1, encoder_layers]")
-        if self.block_style not in ("baseline", "improved"):
-            raise ValueError(f"unknown block_style {self.block_style!r}")
-        if self.block_style == "improved" and (self.hidden_dim // self.heads) % 2:
-            raise ValueError("improved style needs an even per-head dimension")
-
-    @property
-    def grid_size(self) -> int:
-        return self.image_size // self.patch_size
-
-    @property
-    def num_tokens(self) -> int:
-        return self.grid_size * self.grid_size
+        if (self.hidden_dim // self.heads) % 2:
+            raise ValueError("hidden_dim // heads must be even (rotary embedding)")
 
     @property
     def patch_dim(self) -> int:
@@ -117,25 +100,25 @@ class ModelConfig:
 def _preset_desk() -> ModelConfig:
     return ModelConfig(encoder_layers=4, decoder_layers=2, hidden_dim=64, heads=4,
                        patch_size=2, image_size=8, channels=1, num_classes=4,
-                       alignment_layer=2, block_style="improved", teacher_dim=32)
+                       alignment_layer=2, teacher_dim=32)
 
 
 def _preset_b2() -> ModelConfig:
     return ModelConfig(encoder_layers=8, decoder_layers=4, hidden_dim=768, heads=12,
                        patch_size=2, image_size=32, channels=4, num_classes=1000,
-                       alignment_layer=4, block_style="improved", teacher_dim=768)
+                       alignment_layer=4, teacher_dim=768)
 
 
 def _preset_l2() -> ModelConfig:
     return ModelConfig(encoder_layers=20, decoder_layers=4, hidden_dim=1024, heads=16,
                        patch_size=2, image_size=32, channels=4, num_classes=1000,
-                       alignment_layer=10, block_style="improved", teacher_dim=768)
+                       alignment_layer=10, teacher_dim=768)
 
 
 def _preset_xl2() -> ModelConfig:
     return ModelConfig(encoder_layers=22, decoder_layers=6, hidden_dim=1152, heads=16,
                        patch_size=2, image_size=32, channels=4, num_classes=1000,
-                       alignment_layer=11, block_style="improved", teacher_dim=768)
+                       alignment_layer=11, teacher_dim=768)
 
 
 PRESETS = {
@@ -248,9 +231,10 @@ def adaln_modulate(h: Tensor, cond: Tensor, weight: Tensor, bias: Tensor,
 # ---------------------------------------------------------------------------
 
 
-def _block_shapes(prefix: str, hidden: int, style: str) -> list[tuple[str, tuple[int, ...]]]:
+def _block_shapes(prefix: str, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
     h = hidden
-    shapes = [
+    f = (8 * h) // 3
+    return [
         (f"{prefix}.attn.qkv.w", (h, 3 * h)),
         (f"{prefix}.attn.qkv.b", (3 * h,)),
         (f"{prefix}.attn.proj.w", (h, h)),
@@ -259,35 +243,20 @@ def _block_shapes(prefix: str, hidden: int, style: str) -> list[tuple[str, tuple
         (f"{prefix}.attn_mod.b", (3 * h,)),
         (f"{prefix}.mlp_mod.w", (h, 3 * h)),
         (f"{prefix}.mlp_mod.b", (3 * h,)),
+        (f"{prefix}.mlp.wg", (h, f)),
+        (f"{prefix}.mlp.bg", (f,)),
+        (f"{prefix}.mlp.w1", (h, f)),
+        (f"{prefix}.mlp.b1", (f,)),
+        (f"{prefix}.mlp.w2", (f, h)),
+        (f"{prefix}.mlp.b2", (h,)),
     ]
-    if style == "baseline":
-        f = 4 * h
-        shapes += [
-            (f"{prefix}.mlp.w1", (h, f)),
-            (f"{prefix}.mlp.b1", (f,)),
-            (f"{prefix}.mlp.w2", (f, h)),
-            (f"{prefix}.mlp.b2", (h,)),
-        ]
-    else:
-        f = (8 * h) // 3
-        shapes += [
-            (f"{prefix}.mlp.wg", (h, f)),
-            (f"{prefix}.mlp.bg", (f,)),
-            (f"{prefix}.mlp.w1", (h, f)),
-            (f"{prefix}.mlp.b1", (f,)),
-            (f"{prefix}.mlp.w2", (f, h)),
-            (f"{prefix}.mlp.b2", (h,)),
-        ]
-    return shapes
 
 
 def _stack_shapes(name: str, layers: int, cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     h = cfg.hidden_dim
     shapes = [(f"{name}.embed.w", (cfg.patch_dim, h)), (f"{name}.embed.b", (h,))]
-    if cfg.block_style == "baseline":
-        shapes.append((f"{name}.pos", (cfg.num_tokens, h)))
     for i in range(layers):
-        shapes += _block_shapes(f"{name}.b{i}", h, cfg.block_style)
+        shapes += _block_shapes(f"{name}.b{i}", h)
     return shapes
 
 
@@ -349,10 +318,8 @@ def monolithic_parameter_count(cfg: ModelConfig) -> int:
         ("y_embed.table", (cfg.num_classes + 1, h)),
         ("embed.w", (cfg.patch_dim, h)), ("embed.b", (h,)),
     ]
-    if cfg.block_style == "baseline":
-        shapes.append(("pos", (cfg.num_tokens, h)))
     for i in range(depth):
-        shapes += _block_shapes(f"b{i}", h, cfg.block_style)
+        shapes += _block_shapes(f"b{i}", h)
     shapes += [
         ("final.mod.w", (h, 2 * h)), ("final.mod.b", (2 * h,)),
         ("final.proj.w", (h, cfg.patch_dim)), ("final.proj.b", (cfg.patch_dim,)),
@@ -416,7 +383,7 @@ class DDTModel:
         if name.endswith(".b") or name.endswith((".b1", ".b2", ".bg")):
             return np.zeros(shape)
         rng = substream(seed, f"init/{name}")
-        if name.endswith((".table", ".pos", "embed.w")):
+        if name.endswith((".table", "embed.w")):
             return rng.normal(0.0, 0.02, shape)
         fan_in, fan_out = shape[0], shape[-1]
         return rng.normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), shape)
@@ -468,9 +435,6 @@ class DDTModel:
     def _linear(self, x: Tensor, prefix: str, w: str = "w", b: str = "b") -> Tensor:
         return linear(x, self.params[f"{prefix}.{w}"], self.params[f"{prefix}.{b}"])
 
-    def _norm(self, x: Tensor) -> Tensor:
-        return rms_norm(x) if self.config.block_style == "improved" else layer_norm(x)
-
     def _timestep_embedding(self, t_vec: np.ndarray) -> Tensor:
         feats = Tensor(_sinusoidal(t_vec, self.config.hidden_dim))
         h = silu(self._linear(feats, "t_mlp", "w1", "b1"))
@@ -482,26 +446,21 @@ class DDTModel:
     def _attention(self, h: Tensor, prefix: str) -> Tensor:
         cfg = self.config
         qkv = self._linear(h, f"{prefix}.attn.qkv")
-        tables = ()
-        if cfg.block_style == "improved":
-            tables = _rope_tables(h.shape[1], cfg.hidden_dim // cfg.heads)
-        out = self_attention(qkv, cfg.heads, *tables)
+        cos, sin = _rope_tables(h.shape[1], cfg.hidden_dim // cfg.heads)
+        out = self_attention(qkv, cfg.heads, cos, sin)
         return self._linear(out, f"{prefix}.attn.proj")
 
     def _mlp(self, h: Tensor, prefix: str) -> Tensor:
         mlp = f"{prefix}.mlp"
-        if self.config.block_style == "baseline":
-            mid = gelu_tanh(self._linear(h, mlp, "w1", "b1"))
-        else:
-            mid = swiglu(self._linear(h, mlp, "wg", "bg"), self._linear(h, mlp, "w1", "b1"))
+        mid = swiglu(self._linear(h, mlp, "wg", "bg"), self._linear(h, mlp, "w1", "b1"))
         return self._linear(mid, mlp, "w2", "b2")
 
     def _block(self, h: Tensor, cond: Tensor, prefix: str) -> Tensor:
         p = self.params
         h = adaln_modulate(h, cond, p[f"{prefix}.attn_mod.w"], p[f"{prefix}.attn_mod.b"],
-                           lambda x: self._attention(x, prefix), self._norm)
+                           lambda x: self._attention(x, prefix), rms_norm)
         h = adaln_modulate(h, cond, p[f"{prefix}.mlp_mod.w"], p[f"{prefix}.mlp_mod.b"],
-                           lambda x: self._mlp(x, prefix), self._norm)
+                           lambda x: self._mlp(x, prefix), rms_norm)
         return h
 
     def _tokens(self, x, stack: str) -> Tensor:
@@ -515,10 +474,7 @@ class DDTModel:
         tok = patchify(xt, cfg.patch_size)
         # a batched 3-D matmul, not linear(): at zero init z must equal
         # numpy's tokens @ W + b bit for bit, and a flattened GEMM need not
-        tok = tok @ self.params[f"{stack}.embed.w"] + self.params[f"{stack}.embed.b"]
-        if cfg.block_style == "baseline":
-            tok = tok + self.params[f"{stack}.pos"]
-        return tok
+        return tok @ self.params[f"{stack}.embed.w"] + self.params[f"{stack}.embed.b"]
 
     # -- public forward passes ------------------------------------------------------
 
@@ -547,7 +503,7 @@ class DDTModel:
             h = self._block(h, cond, f"enc.b{i}")
             if i + 1 == cfg.alignment_layer:
                 h_align = h
-        z = self._norm(h)
+        z = rms_norm(h)
         self.nfe_encoder += 1
         return ConditionBundle(z_t=z), h_align
 
@@ -574,7 +530,7 @@ class DDTModel:
             h = self._block(h, cond, f"dec.b{i}")
         m = self._linear(cond, "final.mod")
         shift, scale = m.chunk(2, axis=-1)
-        h = modulate(self._norm(h), shift, scale)
+        h = modulate(rms_norm(h), shift, scale)
         out = self._linear(h, "final.proj")
         v = unpatchify(out, cfg.patch_size, cfg.channels)
         self.nfe_decoder += 1
@@ -611,14 +567,18 @@ CHECKPOINT_MAGIC = b"DDTCKPT1"
 
 _CONFIG_FIELDS = ("encoder_layers", "decoder_layers", "hidden_dim", "heads",
                   "patch_size", "image_size", "channels", "num_classes",
-                  "alignment_layer", "block_style", "teacher_dim")
+                  "alignment_layer", "teacher_dim")
+
+# Every block is the paper's (RMSNorm, SwiGLU, RoPE). The header still
+# names that style, on the line before teacher_dim, so the format is
+# unchanged; a file that names any other style is refused.
+_STYLE_KEY, _STYLE = "block_style", "improved"
 
 
 def save_checkpoint(path, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
     """Magic, length-prefixed key=value header, then named float64 blocks."""
-    header_lines = []
-    for field in _CONFIG_FIELDS:
-        header_lines.append(f"{field}={getattr(config, field)}")
+    header_lines = [f"{field}={getattr(config, field)}" for field in _CONFIG_FIELDS]
+    header_lines.insert(_CONFIG_FIELDS.index("teacher_dim"), f"{_STYLE_KEY}={_STYLE}")
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -670,13 +630,14 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
                 raise FormatError(f"malformed header line {line!r}")
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
+        style = fields.get(_STYLE_KEY)
+        if style != _STYLE:
+            raise FormatError(f"checkpoint block style {style!r} is not {_STYLE!r}")
         missing = [f for f in _CONFIG_FIELDS if f not in fields]
         if missing:
             raise FormatError(f"checkpoint header missing fields {missing}")
         try:
-            config = ModelConfig(**{
-                field: fields[field] if field == "block_style" else int(fields[field])
-                for field in _CONFIG_FIELDS})
+            config = ModelConfig(**{field: int(fields[field]) for field in _CONFIG_FIELDS})
         except ValueError as exc:
             raise FormatError(f"checkpoint header invalid: {exc}") from exc
         arrays: dict[str, np.ndarray] = {}

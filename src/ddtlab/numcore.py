@@ -13,10 +13,10 @@ passes rather than compositions of elementwise nodes:
                           forward, input-gradient and weight-gradient
                           products are each one 2-D GEMM
   rms_norm(x)             x / sqrt(mean(x^2) + eps) over the last axis
-  layer_norm(x)           (x - mean) / sqrt(var + eps) over the last axis
   modulate(x, sh, sc)     sh + (1 + sc) * x, the AdaLN modulation
   gated_residual(h, g, y) h + g * y, the AdaLN-Zero gated residual
-  self_attention(qkv, nh) fused q|k|v projection -> merged heads: RoPE on
+  self_attention(qkv, nh, cos, sin)
+                          fused q|k|v projection -> merged heads: RoPE on
                           q and k, scaled scores, softmax, p @ v
   swiglu(a, b)            silu(a) * b
   silu(x)                 x * sigmoid(x)
@@ -44,7 +44,6 @@ __all__ = [
     "is_grad_enabled",
     "linear",
     "rms_norm",
-    "layer_norm",
     "modulate",
     "gated_residual",
     "self_attention",
@@ -383,14 +382,6 @@ class Tensor:
 
         return Tensor._node(out_data, (self,), backward)
 
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data * out_data))
-
-        return Tensor._node(out_data, (self,), backward)
 
 def _window(ndim: int, axis: int, start: int, length: int) -> tuple:
     index = [slice(None)] * ndim
@@ -476,23 +467,6 @@ def rms_norm(x: Tensor) -> Tensor:
         if x.requires_grad:
             gy = (g * out).sum(axis=-1, keepdims=True) * (1.0 / n)
             x._accumulate((g - out * gy) / root)
-
-    return Tensor._node(out, (x,), backward)
-
-
-def layer_norm(x: Tensor) -> Tensor:
-    """(x - mean) / sqrt(var + eps) over the last axis, without affine
-    terms (AdaLN supplies the scale and shift)."""
-    inv_n = 1.0 / x.shape[-1]
-    d = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    root = np.sqrt((d * d).sum(axis=-1, keepdims=True) * inv_n + NORM_EPS)
-    out = d / root
-
-    def backward(g):
-        if x.requires_grad:
-            gm = g.sum(axis=-1, keepdims=True) * inv_n
-            gy = (g * out).sum(axis=-1, keepdims=True) * inv_n
-            x._accumulate((g - gm - out * gy) / root)
 
     return Tensor._node(out, (x,), backward)
 
@@ -619,14 +593,13 @@ def _softmax_inplace(x: np.ndarray) -> None:
     x /= x.sum(axis=-1, keepdims=True)
 
 
-def self_attention(qkv: Tensor, heads: int, cos: np.ndarray | None = None,
-                   sin: np.ndarray | None = None) -> Tensor:
+def self_attention(qkv: Tensor, heads: int, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Multi-head softmax self-attention from the fused projection
     [b, n, 3d], laid out (q | k | v) x heads x dh along the last axis, to
     the merged heads [b, n, d].
 
-    With cos and sin (the [n, dh/2] tables of the token angles) q and k
-    get the rotary embedding first. Backward: dv = p^T g,
+    q and k first get the rotary embedding given by cos and sin, the
+    [n, dh/2] tables of the token angles. Backward: dv = p^T g,
     ds = p * (dp - sum(dp * p)) * scale with dp = g v^T, dq = ds k,
     dk = ds^T q, then the inverse rotation of dq and dk.
     """
@@ -634,10 +607,8 @@ def self_attention(qkv: Tensor, heads: int, cos: np.ndarray | None = None,
     dh = width // (3 * heads)
     scale = 1.0 / math.sqrt(dh)
     x = qkv.data.reshape(b, n, 3, heads, dh)
-    qk = x[:, :, :2]
-    if cos is not None:
-        cos, sin = _rotation_tables(cos, sin, heads)
-        qk = _rope(qk, cos, sin)
+    cos, sin = _rotation_tables(cos, sin, heads)
+    qk = _rope(x[:, :, :2], cos, sin)
     # [b, heads, n, dh] views
     q = qk[:, :, 0].transpose(0, 2, 1, 3)
     k = qk[:, :, 1].transpose(0, 2, 1, 3)
@@ -657,17 +628,11 @@ def self_attention(qkv: Tensor, heads: int, cos: np.ndarray | None = None,
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        gqk = grad[:, :, :2] if cos is None else np.empty(qk.shape)
+        gqk = np.empty(qk.shape)
         gqk[:, :, 0] = (ds @ k).transpose(0, 2, 1, 3)
         gqk[:, :, 1] = (ds.transpose(0, 1, 3, 2) @ q).transpose(0, 2, 1, 3)
-        if cos is not None:
-            _rope(gqk, cos, -sin, out=grad[:, :, :2])
+        _rope(gqk, cos, -sin, out=grad[:, :, :2])
         qkv._accumulate(grad.reshape(qkv.shape))
 
     return Tensor._node(out, (qkv,), backward)
 
-
-def gelu_tanh(x: Tensor) -> Tensor:
-    """GELU, tanh approximation (the DiT-family default activation)."""
-    c = math.sqrt(2.0 / math.pi)
-    return 0.5 * x * ((c * (x + 0.044715 * x * x * x)).tanh() + 1.0)

@@ -1,13 +1,14 @@
 """End-to-end CLI runs in temp directories: exit codes, determinism,
 resume continuity, sharing/guidance neutrality, and NFE accounting."""
 
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from ddtlab.cli import main
+from ddtlab.cli import build_parser, main
 from ddtlab.model import DDTModel, ModelConfig, save_checkpoint
 from ddtlab.sharesched import plan_uniform, write_plan
 
@@ -266,6 +267,16 @@ def test_non_utf8_input_exits_3(tmp_path, tiny_ckpt, flag):
     assert not (tmp_path / "o").exists()
 
 
+def test_sample_other_block_style_exits_3(tmp_path, tiny_ckpt):
+    # the header keeps its length: only the one block style exists
+    blob = tiny_ckpt.read_bytes().replace(b"block_style=improved", b"block_style=baseline")
+    bad = tmp_path / "baseline.ckpt"
+    bad.write_bytes(blob)
+    assert main(["sample", "--checkpoint", str(bad), "--num", "4",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
+
+
 def test_sample_divergent_model_exits_4(tmp_path):
     model = DDTModel(tiny_config(), seed=0)
     p = model.params["final.proj.b"]
@@ -276,7 +287,8 @@ def test_sample_divergent_model_exits_4(tmp_path):
                  "--num", "4", "--out", str(tmp_path / "o")]) == 4
 
 
-@pytest.mark.parametrize("command, flags", [
+# new rows go at the end: a row's test id carries its index
+OUT_OF_RANGE = [
     ("sample", ["--shift", "0.5"]),
     ("sample", ["--cfg-w", "-1"]),
     ("sample", ["--num", "1"]),
@@ -287,12 +299,43 @@ def test_sample_divergent_model_exits_4(tmp_path):
     ("diagnose", ["--t-list", "abc"]),
     ("sample", ["--dataset", "nope"]),
     ("diagnose", ["--dataset", "nope"]),
-])
+    ("plan", ["--steps", "0", "--budget", "1"]),
+    ("diagnose", ["--steps", "0"]),
+    ("diagnose", ["--probe-size", "0"]),
+    ("diagnose", ["--trials", "0"]),
+    ("train", ["--seed", "-1"]),
+    ("train", ["--steps", "0"]),
+    ("sample", ["--seed", "-1"]),
+    ("sample", ["--steps", "0"]),
+    ("sample", ["--share-ratio", "1"]),
+    ("plan", ["--seed", "-1", "--budget", "1"]),
+    ("plan", ["--budget", "0"]),
+    ("plan", ["--share-ratio", "1"]),
+    ("diagnose", ["--seed", "-1"]),
+    ("sample", ["--shift", "nan"]),
+    ("sample", ["--shift", "inf"]),
+    ("sample", ["--cfg-w", "inf"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", OUT_OF_RANGE)
 def test_out_of_range_argument_exits_2(tmp_path, tiny_ckpt, capsys, command, flags):
-    assert main([command, "--checkpoint", str(tiny_ckpt), "--steps", "4",
-                 *flags, "--out", str(tmp_path / "o")]) == 2
+    source = (["--config", str(write_config(tmp_path / "config.txt"))]
+              if command == "train" else ["--checkpoint", str(tiny_ckpt)])
+    assert main([command, *source, "--steps", "4", *flags,
+                 "--out", str(tmp_path / "o")]) == 2
     assert flags[0] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_every_numeric_flag_has_an_out_of_range_row():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    numeric = {(name, action.option_strings[0])
+               for name, sub in commands.items() for action in sub._actions
+               if action.type in (int, float)}
+    assert numeric - {(command, flags[0]) for command, flags in OUT_OF_RANGE} == set()
 
 
 def test_unknown_solver_exits_2(tmp_path, tiny_ckpt):

@@ -2,7 +2,6 @@
 decoder signatures, preset bookkeeping, checkpoint round-trip."""
 
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from ddtlab.model import (
     DDTModel,
     ModelConfig,
     adaln_modulate,
-    layer_norm,
     load_checkpoint,
     monolithic_parameter_count,
     parameter_count,
@@ -26,7 +24,7 @@ from ddtlab.model import (
     unpatchify,
 )
 from ddtlab.model import _rope_tables
-from ddtlab.numcore import Tensor, gelu_tanh, no_grad
+from ddtlab.numcore import Tensor, no_grad
 from test_numcore import composed_attention
 
 RNG = np.random.default_rng(42)
@@ -36,8 +34,8 @@ def composed_forward(model: DDTModel, x, t, y):
     """(z, v) from the composition of elementwise steps that the fused
     nodes replace: silu of the conditioning in every branch,
     shift + (1 + scale) * norm(h), h + gate * branch(...), silu(a) * b,
-    the step-by-step attention and the step-by-step layer norm. The
-    reference for the model's no_grad forward."""
+    and the step-by-step attention. The reference for the model's no_grad
+    forward."""
     cfg = model.config
     p = {name: prm.data for name, prm in model.params.items()}
 
@@ -48,25 +46,16 @@ def composed_forward(model: DDTModel, x, t, y):
         return v * (1.0 / (1.0 + np.exp(-v)))
 
     def norm(h):
-        if cfg.block_style == "improved":
-            return rms_norm(Tensor(h)).data
-        d = h - h.sum(axis=-1, keepdims=True) * (1.0 / h.shape[-1])
-        var = (d * d).sum(axis=-1, keepdims=True) * (1.0 / h.shape[-1])
-        return d / np.sqrt(var + 1e-6)
+        return rms_norm(Tensor(h)).data
 
     def attention(u, pre):
-        tables = ()
-        if cfg.block_style == "improved":
-            tables = _rope_tables(cfg.num_tokens, cfg.hidden_dim // cfg.heads)
+        cos, sin = _rope_tables(u.shape[1], cfg.hidden_dim // cfg.heads)
         qkv = lin(u, f"{pre}.qkv.w", f"{pre}.qkv.b")
-        out = composed_attention(qkv, cfg.heads, *tables)
+        out = composed_attention(qkv, cfg.heads, cos, sin)
         return lin(out, f"{pre}.proj.w", f"{pre}.proj.b")
 
     def mlp(u, pre):
-        if cfg.block_style == "baseline":
-            mid = gelu_tanh(Tensor(lin(u, f"{pre}.w1", f"{pre}.b1"))).data
-        else:
-            mid = silu(lin(u, f"{pre}.wg", f"{pre}.bg")) * lin(u, f"{pre}.w1", f"{pre}.b1")
+        mid = silu(lin(u, f"{pre}.wg", f"{pre}.bg")) * lin(u, f"{pre}.w1", f"{pre}.b1")
         return lin(mid, f"{pre}.w2", f"{pre}.b2")
 
     def stack(h, cond, name, layers):
@@ -93,7 +82,7 @@ def composed_forward(model: DDTModel, x, t, y):
 def tiny_config(**overrides) -> ModelConfig:
     base = dict(encoder_layers=2, decoder_layers=1, hidden_dim=8, heads=2,
                 patch_size=2, image_size=4, channels=1, num_classes=3,
-                alignment_layer=1, block_style="improved", teacher_dim=6)
+                alignment_layer=1, teacher_dim=6)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -135,7 +124,7 @@ class TestAdaLNModulate:
         cond = Tensor(RNG.standard_normal((2, 8)))
         w = Tensor(np.zeros((8, 24)))
         b = Tensor(np.zeros(24))
-        out = adaln_modulate(h, cond, w, b, lambda x: x * 2.0 + 1.0, layer_norm)
+        out = adaln_modulate(h, cond, w, b, lambda x: x * 2.0 + 1.0, rms_norm)
         assert np.array_equal(out.data, h.data)
 
     def test_unit_gate_identity_block(self):
@@ -144,8 +133,8 @@ class TestAdaLNModulate:
         w = Tensor(np.zeros((8, 24)))
         # bias encodes (shift=0, scale=0, gate=1)
         b = Tensor(np.concatenate([np.zeros(8), np.zeros(8), np.ones(8)]))
-        out = adaln_modulate(h, cond, w, b, lambda x: x, layer_norm)
-        expected = h.data + layer_norm(h).data
+        out = adaln_modulate(h, cond, w, b, lambda x: x, rms_norm)
+        expected = h.data + rms_norm(h).data
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
     def test_random_params_finite_and_differentiable(self):
@@ -155,7 +144,7 @@ class TestAdaLNModulate:
         b = Tensor(RNG.standard_normal(24) * 0.3, requires_grad=True)
 
         def run(ht, ct, wt, bt):
-            return (adaln_modulate(ht, ct, wt, bt, lambda x: x.tanh(), rms_norm) ** 2.0).sum()
+            return (adaln_modulate(ht, ct, wt, bt, lambda x: x * x, rms_norm) ** 2.0).sum()
 
         loss = run(h, cond, w, b)
         assert np.isfinite(loss.item())
@@ -185,7 +174,7 @@ class TestAdaLNModulate:
         w = Tensor(np.zeros((8, 24)))
         b = Tensor(np.zeros(24))
         with pytest.raises(ValueError):
-            adaln_modulate(h, cond, w, b, lambda x: x, layer_norm)
+            adaln_modulate(h, cond, w, b, lambda x: x, rms_norm)
 
 
 class TestEncoderDecoder:
@@ -225,12 +214,10 @@ class TestEncoderDecoder:
         assert np.array_equal(v.data, np.zeros_like(x))
 
     def test_decoder_shape_matches_input(self):
-        for style in ("baseline", "improved"):
-            cfg = tiny_config(block_style=style)
-            model = DDTModel(cfg, seed=1)
-            x = RNG.standard_normal((3, 1, 4, 4))
-            v = model.forward(x, 0.25, 1)
-            assert v.shape == x.shape
+        model = DDTModel(tiny_config(), seed=1)
+        x = RNG.standard_normal((3, 1, 4, 4))
+        v = model.forward(x, 0.25, 1)
+        assert v.shape == x.shape
 
     def test_desk_preset_shape(self):
         cfg = preset("desk")
@@ -277,12 +264,12 @@ class TestEncoderDecoder:
         model = DDTModel(cfg, seed=4)
         x = RNG.standard_normal((1, 1, 4, 4))
         _, h_align = model.encode(x, 0.2, 1)
-        assert h_align.shape == (1, cfg.num_tokens, cfg.hidden_dim)
+        assert h_align.shape == (1, (cfg.image_size // cfg.patch_size) ** 2,
+                                 cfg.hidden_dim)
 
-    @pytest.mark.parametrize("style", ["improved", "baseline"])
-    def test_no_grad_forward_matches_composition(self, style):
+    def test_no_grad_forward_matches_composition(self):
         # desk sizes at the sampling batch of 64
-        model = DDTModel(replace(preset("desk"), block_style=style), seed=6)
+        model = DDTModel(preset("desk"), seed=6)
         rng = np.random.default_rng(12)
         for _, prm in model.named_parameters():
             prm.data += 0.05 * rng.standard_normal(prm.shape)
@@ -361,7 +348,7 @@ class TestPresets:
         with pytest.raises(ValueError):
             tiny_config(alignment_layer=7)
         with pytest.raises(ValueError):
-            tiny_config(block_style="fancy")
+            tiny_config(hidden_dim=6)  # odd per-head dimension: no RoPE pairs
         with pytest.raises(ValueError):
             tiny_config(encoder_layers=0)
 
@@ -411,7 +398,8 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(tmp_path / "trunc.ckpt")
 
-    @pytest.mark.parametrize("bad", [b"hidden_dim=6x", b"heads=four", b"hidden_dim=9"])
+    @pytest.mark.parametrize("bad", [b"hidden_dim=6x", b"heads=four", b"hidden_dim=9",
+                                     b"block_style=baseline"])
     def test_bad_header_value_rejected(self, tmp_path, bad):
         cfg = tiny_config()
         path = tmp_path / "m.ckpt"

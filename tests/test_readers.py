@@ -1,0 +1,77 @@
+"""Corruption fuzzing of the three file readers: a checkpoint (read and
+turned into a model, as the CLI does), a plan file and a similarity file.
+Truncated at any byte, or with any one byte changed, a file either loads
+or raises FormatError; no other exception escapes, and no read allocates
+more than a small bound, whatever length a corrupt field claims."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddtlab.errors import FormatError
+from ddtlab.model import DDTModel, ModelConfig, load_checkpoint, save_checkpoint
+from ddtlab.sharesched import (
+    SharingPlan,
+    read_plan,
+    read_similarity,
+    write_plan,
+    write_similarity,
+)
+
+# the intact files are a few kB; a read that trusts a corrupt length
+# would allocate far more than this
+PEAK_BYTES = 1 << 20
+
+
+def load_model(path):
+    return DDTModel.from_arrays(*load_checkpoint(path))
+
+
+READERS = {"checkpoint": load_model, "plan": read_plan, "similarity": read_similarity}
+
+
+@pytest.fixture(scope="module")
+def intact(tmp_path_factory):
+    """The bytes of one small valid file of each kind."""
+    root = tmp_path_factory.mktemp("intact")
+    cfg = ModelConfig(encoder_layers=1, decoder_layers=1, hidden_dim=4, heads=2,
+                      patch_size=2, image_size=2, channels=1, num_classes=1,
+                      alignment_layer=1, teacher_dim=1)
+    save_checkpoint(root / "checkpoint", cfg, DDTModel(cfg, seed=0).state_arrays())
+    write_plan(root / "plan", SharingPlan(N=6, anchors=(0, 2, 5), utility=0.75),
+               checksum="ab12")
+    s = np.full((3, 3), 0.5)
+    np.fill_diagonal(s, 1.0)
+    write_similarity(root / "similarity", s)
+    return {kind: (root / kind).read_bytes() for kind in READERS}
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "file"
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(cut=st.booleans(), where=st.floats(0.0, 1.0, exclude_max=True),
+       flip=st.integers(1, 255))
+def test_corrupt_file_loads_or_raises_format_error(intact, scratch, kind, cut, where, flip):
+    good = intact[kind]
+    at = int(where * len(good))
+    if cut:
+        bad = good[:at]
+    else:
+        bad = good[:at] + bytes([good[at] ^ flip]) + good[at + 1:]
+    scratch.write_bytes(bad)
+    tracemalloc.start()
+    try:
+        READERS[kind](scratch)
+    except FormatError:
+        pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES, f"read allocated {peak} bytes"

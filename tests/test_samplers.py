@@ -320,7 +320,7 @@ class TestModelField:
     def _model(self):
         cfg = ModelConfig(encoder_layers=2, decoder_layers=1, hidden_dim=8, heads=2,
                           patch_size=2, image_size=4, channels=1, num_classes=3,
-                          alignment_layer=1, block_style="improved", teacher_dim=6)
+                          alignment_layer=1, teacher_dim=6)
         model = DDTModel(cfg, seed=2)
         nudge = np.random.default_rng(3)
         for _, p in model.named_parameters():

@@ -36,7 +36,7 @@ from ddtlab.train import (
 def tiny_config(**overrides) -> ModelConfig:
     base = dict(encoder_layers=2, decoder_layers=1, hidden_dim=8, heads=2,
                 patch_size=2, image_size=4, channels=1, num_classes=3,
-                alignment_layer=1, block_style="improved", teacher_dim=6)
+                alignment_layer=1, teacher_dim=6)
     base.update(overrides)
     return ModelConfig(**base)
 
