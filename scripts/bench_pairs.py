@@ -17,7 +17,8 @@ first in odd ones. The result
 goes to BENCH_<label>.json: every run's end-to-end metrics, the sha256
 of each side's desk checkpoint, and per workload and metric each side's
 min, quartiles and median, its wins over the pairs (ties count for
-neither) and the change of the median against the metric's bound.
+neither) and the change of the median against the metric's bound, plus
+each side's median ms per request kind.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ def run_once(bench: dict, side_root: Path, workload: str, seed: int,
         "failed": result["failed"],
         "attempted": result["attempted"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "op_ms_p50_by_kind": detail["op_ms_p50_by_kind"],
         "checkpoint": detail["checkpoint"]["path"],
     }
 
@@ -80,7 +82,9 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(bench: dict, runs: dict) -> dict:
-    """Per metric: each side's spread and wins, and the median change."""
+    """Per metric: each side's spread and wins, and the median change.
+    Then per side and request kind, the median over the runs of each
+    run's median ms, which shows the kind that op_ms_p50 lands on."""
     out = {}
     for metric in bench["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -97,6 +101,10 @@ def summarize(bench: dict, runs: dict) -> dict:
         row["bound"] = metric["bound"]
         row["within_bound"] = worse <= metric["bound"]
         out[name] = row
+    out["op_ms_p50_by_kind"] = {
+        side: {kind: statistics.median(r["op_ms_p50_by_kind"][kind] for r in runs[side])
+               for kind in runs[side][0]["op_ms_p50_by_kind"]}
+        for side in SIDES}
     return out
 
 

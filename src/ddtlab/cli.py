@@ -366,9 +366,11 @@ def cmd_diagnose(args) -> int:
     _check_min("--steps", args.steps, 1)
     _check_min("--shift", args.shift, 1)
     _check_min("--probe-size", args.probe_size, 1)
+    # a bad checkpoint fails here, before the output directory exists
+    sim = None if args.checkpoint is None else _probe_checkpoint(args)
 
     os.makedirs(args.out, exist_ok=True)
-    inputs = []
+    inputs = [] if sim is None else [args.checkpoint]
     outputs = []
 
     dataset = make_dataset(args.dataset)
@@ -383,9 +385,7 @@ def cmd_diagnose(args) -> int:
         write_spectrum_csv(os.path.join(args.out, name), at_t, empirical)
         outputs.append(name)
 
-    if args.checkpoint is not None:
-        sim = _probe_checkpoint(args)
-        inputs.append(args.checkpoint)
+    if sim is not None:
         # plot-ready heatmap: N rows of N comma-separated values
         tmp = os.path.join(args.out, "similarity.csv.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:

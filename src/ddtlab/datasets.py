@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numcore import dct_matrix
+from .spectral import radial_bin_map
 
 __all__ = ["BandlimitedDataset", "GaussianDataset", "PointMassDataset", "DATASETS",
            "make_dataset"]
@@ -40,19 +41,24 @@ class BandlimitedDataset:
         self.class_modes = [
             ((0, k % 3 + 1), (k % 3 + 1, 0)) for k in range(num_classes)
         ]
+        # [mode, axis, class]: self._modes[..., y] unpacks to (a1, b1), (a2, b2)
+        self._modes = np.array(self.class_modes, dtype=np.int64).transpose(1, 2, 0)
         self._basis = dct_matrix(image_size)
 
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        s = self.image_size
+        """n images, each the sum of its class's two DCT modes (a1, b1) and
+        (a2, b2) with coefficients c1 and c2, in closed form:
+        (u_a1 c1) u_b1^T + (u_a2 c2) u_b2^T with u the basis rows. A dense
+        inverse DCT of the coefficient image adds only exact zeros to
+        these two terms, so it gives the same images bit for bit."""
         y = rng.integers(0, self.num_classes, size=n)
-        coeffs = np.zeros((n, s, s))
         scale = self.amplitude * (1.0 + self.jitter * rng.standard_normal((n, 2)))
         sign = rng.choice([-1.0, 1.0], size=n)
-        for i in range(n):
-            (a1, b1), (a2, b2) = self.class_modes[y[i]]
-            coeffs[i, a1, b1] = scale[i, 0] * sign[i]
-            coeffs[i, a2, b2] = scale[i, 1] * sign[i]
-        imgs = np.einsum("ij,njk,kl->nil", self._basis.T, coeffs, self._basis)
+        c = scale * sign[:, None]
+        basis = self._basis
+        (a1, b1), (a2, b2) = self._modes[..., y]
+        imgs = ((basis[a1] * c[:, :1])[:, :, None] * basis[b1][:, None, :]
+                + (basis[a2] * c[:, 1:])[:, :, None] * basis[b2][:, None, :])
         x = np.repeat(imgs[:, None, :, :], self.channels, axis=1)
         return x, y
 
@@ -66,10 +72,8 @@ class BandlimitedDataset:
         for modes in self.class_modes:
             for (a, b) in modes:
                 energy[a, b] += per_class * second_moment
-        radius = np.floor(np.sqrt(
-            np.arange(s)[:, None] ** 2 + np.arange(s)[None, :] ** 2)).astype(int)
-        bins = np.arange(radius.max() + 1)
-        return np.array([energy[radius == r].mean() for r in bins])
+        bins = radial_bin_map(s).ravel()
+        return np.bincount(bins, weights=energy.ravel()) / np.bincount(bins)
 
 
 class GaussianDataset:

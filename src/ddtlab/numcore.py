@@ -27,7 +27,8 @@ Each keeps the operation order of the composition it replaces, so a
 forward pass under no_grad is bit-identical to the composed one.
 
 Also home to the orthonormal type-II DCT basis used across the package
-(applied as a direct O(n^2) matrix product, plenty at desk scale).
+(spectral.dct2 applies it along both image axes as two matrix products,
+O(n^3) per image, plenty at desk scale).
 """
 
 from __future__ import annotations

@@ -54,18 +54,20 @@ def num_radial_bins(n: int) -> int:
 
 
 def dct2(x: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II over the last two axes."""
+    """Orthonormal 2-D DCT-II over the last two axes: m_r @ x @ m_c.T,
+    two matrix products broadcast over the leading axes."""
     x = np.asarray(x, dtype=np.float64)
     m_r = dct_matrix(x.shape[-2])
     m_c = dct_matrix(x.shape[-1])
-    return np.einsum("ab,...bc,dc->...ad", m_r, x, m_c)
+    return m_r @ x @ m_c.T
 
 
 def idct2(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of dct2: m_r.T @ coeffs @ m_c."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     m_r = dct_matrix(coeffs.shape[-2])
     m_c = dct_matrix(coeffs.shape[-1])
-    return np.einsum("ba,...bc,cd->...ad", m_r, coeffs, m_c)
+    return m_r.T @ coeffs @ m_c
 
 
 def radial_spectrum(images: np.ndarray) -> np.ndarray:

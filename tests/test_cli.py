@@ -450,6 +450,15 @@ def test_diagnose_dataset_only(tmp_path):
     assert not (out / "similarity.csv").exists()
 
 
+def test_diagnose_corrupt_checkpoint_exits_3_before_writing(tmp_path):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"junk")
+    out = tmp_path / "o"
+    assert main(["diagnose", "--checkpoint", str(bad), "--t-list", "0.5",
+                 "--trials", "10", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_diagnose_bad_time_exits_2(tmp_path):
     assert main(["diagnose", "--t-list", "1.5", "--out", str(tmp_path / "o")]) == 2
 

@@ -47,6 +47,17 @@ def test_dct2_matches_scipy():
     assert np.allclose(idct2(mine), x, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 5, 9), (0, 8, 8)])
+def test_dct2_and_idct2_match_scipy_on_batches(shape):
+    x = np.random.default_rng(3).normal(size=shape)
+    fwd, inv = dct2(x), idct2(x)
+    assert fwd.shape == inv.shape == shape
+    np.testing.assert_allclose(
+        fwd, scipy.fft.dctn(x, axes=(-2, -1), norm="ortho"), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        inv, scipy.fft.idctn(x, axes=(-2, -1), norm="ortho"), rtol=0, atol=1e-12)
+
+
 def test_dct2_parseval():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 6))

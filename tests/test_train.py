@@ -14,7 +14,7 @@ import ddtlab.train as train_mod
 from ddtlab.datasets import BandlimitedDataset, GaussianDataset, PointMassDataset, make_dataset
 from ddtlab.errors import NumericalError, UsageError
 from ddtlab.model import DDTModel, ModelConfig, preset
-from ddtlab.numcore import Tensor, topological_order
+from ddtlab.numcore import Tensor, dct_matrix, topological_order
 from ddtlab.rng import step_stream, substream
 from ddtlab.train import (
     Adam,
@@ -298,7 +298,43 @@ class TestBatchAssembly:
         assert np.array_equal(b1.y, b2.y)
 
 
+def loop_bandlimited_sample(ds: BandlimitedDataset, rng: np.random.Generator,
+                            n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference sampler, one image at a time: each image's two DCT
+    coefficients go into a zero coefficient image, which one three-operand
+    einsum takes back to pixels. The oracle for BandlimitedDataset.sample."""
+    s = ds.image_size
+    basis = dct_matrix(s)
+    y = rng.integers(0, ds.num_classes, size=n)
+    coeffs = np.zeros((n, s, s))
+    scale = ds.amplitude * (1.0 + ds.jitter * rng.standard_normal((n, 2)))
+    sign = rng.choice([-1.0, 1.0], size=n)
+    for i in range(n):
+        (a1, b1), (a2, b2) = ds.class_modes[y[i]]
+        coeffs[i, a1, b1] = scale[i, 0] * sign[i]
+        coeffs[i, a2, b2] = scale[i, 1] * sign[i]
+    imgs = np.einsum("ij,njk,kl->nil", basis.T, coeffs, basis)
+    return np.repeat(imgs[:, None, :, :], ds.channels, axis=1), y
+
+
 class TestDatasets:
+    @pytest.mark.parametrize("size", [4, 8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("classes", [1, 4, 7])
+    def test_bandlimited_sample_matches_reference_loop_exactly(self, size, channels,
+                                                               classes):
+        ds = BandlimitedDataset(size, channels, classes)
+        for seed in range(3):
+            for n in (0, 1, 777):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                x, y = ds.sample(rng, n)
+                x_ref, y_ref = loop_bandlimited_sample(ds, ref_rng, n)
+                assert x.shape == x_ref.shape == (n, channels, size, size)
+                assert x.dtype == x_ref.dtype and y.dtype == y_ref.dtype
+                assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+                # make_batch draws eps and t from the same generator next
+                assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+
     def test_bandlimited_shapes_and_classes(self):
         ds = BandlimitedDataset(8, 1, 4)
         x, y = ds.sample(np.random.default_rng(0), 64)
@@ -306,7 +342,6 @@ class TestDatasets:
         assert set(np.unique(y)) <= set(range(4))
 
     def test_bandlimited_is_bandlimited(self):
-        from ddtlab.numcore import dct_matrix
         ds = BandlimitedDataset(8, 1, 4)
         x, _ = ds.sample(np.random.default_rng(1), 32)
         m = dct_matrix(8)
@@ -316,7 +351,6 @@ class TestDatasets:
         assert np.abs(coef[:, radius > 3]).max() < 1e-10
 
     def test_spectrum_coefficients_match_monte_carlo(self):
-        from ddtlab.numcore import dct_matrix
         ds = BandlimitedDataset(8, 1, 4)
         x, _ = ds.sample(np.random.default_rng(2), 40_000)
         m = dct_matrix(8)
