@@ -655,5 +655,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{name} dims"))
             # a Python int product: numpy's int64 one wraps for large dims
             raw = _read_exact(fh, 8 * math.prod(dims), f"{name} data")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+            try:
+                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+            except ValueError as exc:  # a zero dim beside dims numpy cannot index
+                raise FormatError(f"block {name!r} has unusable dims {dims}: {exc}") from exc
     return config, arrays

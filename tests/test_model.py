@@ -416,7 +416,8 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("case", ["header-not-utf8", "name-not-utf8", "dims-wrap"])
+    @pytest.mark.parametrize("case", ["header-not-utf8", "name-not-utf8", "dims-wrap",
+                                      "zero-dim-overflow"])
     def test_corrupt_bytes_rejected(self, tmp_path, case):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, tiny_config(), {})
@@ -432,6 +433,8 @@ class TestCheckpoint:
             "name-not-utf8": blob + block(b"\xffw", (1,), bytes(8)),
             # 65536**4 = 2**64 elements, which an int64 product wraps to 0
             "dims-wrap": blob + block(b"w", (65536,) * 4),
+            # zero elements, so no data to read, but numpy cannot index a 2**93 shape
+            "zero-dim-overflow": blob + block(b"w", (0,) + (2**31,) * 3),
         }[case])
         with pytest.raises(FormatError):
             load_checkpoint(path)
