@@ -17,8 +17,11 @@ first in odd ones. The result
 goes to BENCH_<label>.json: every run's end-to-end metrics, the sha256
 of each side's desk checkpoint, and per workload and metric each side's
 min, quartiles and median, its wins over the pairs (ties count for
-neither) and the change of the median against the metric's bound, plus
-each side's median ms per request kind.
+neither), the change of the median against the metric's bound and
+`gain_shown`: the working tree won at least nine tenths of the pairs and
+its median is better than the parent's by more than the parent's
+interquartile range (q3 - q1). Each workload also gets each side's
+median ms per request kind.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(bench: dict, runs: dict) -> dict:
-    """Per metric: each side's spread and wins, and the median change.
-    Then per side and request kind, the median over the runs of each
+    """Per metric: each side's spread and wins, the median change and
+    whether a gain is shown. Then per side and request kind, the median over the runs of each
     run's median ms, which shows the kind that op_ms_p50 lands on."""
     out = {}
     for metric in bench["end_to_end"]:
@@ -100,6 +103,11 @@ def summarize(bench: dict, runs: dict) -> dict:
         row["median_change"] = change
         row["bound"] = metric["bound"]
         row["within_bound"] = worse <= metric["bound"]
+        # a gain counts when the change wins nine tenths of the pairs and
+        # its median beats the parent's by more than the parent's q3 - q1
+        gap = (new - base) if higher else (base - new)
+        row["gain_shown"] = (wins["work"] >= 0.9 * len(values["parent"])
+                             and gap > row["parent"]["q3"] - row["parent"]["q1"])
         out[name] = row
     out["op_ms_p50_by_kind"] = {
         side: {kind: statistics.median(r["op_ms_p50_by_kind"][kind] for r in runs[side])

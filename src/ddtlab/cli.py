@@ -28,6 +28,8 @@ from .model import DDTModel, load_checkpoint, preset, save_checkpoint
 from .rng import substream
 from .samplers import GuidanceSpec, SOLVER_ORDERS, make_timegrid
 from .sharesched import (
+    BRUTEFORCE_MAX_N,
+    STRATEGIES,
     SharingPlan,
     SimilarityMatrix,
     plan_bruteforce,
@@ -294,16 +296,14 @@ def cmd_plan(args) -> int:
     _check_min("--steps", args.steps, 1)
     _check_min("--shift", args.shift, 1)
     _check_min("--probe-size", args.probe_size, 1)
-    inputs = []
 
+    # N and the budget are known before any probe, so a bad pair exits 2
+    # before the probe runs or --out is made
     if args.similarity is not None:
         sim = read_similarity(args.similarity)
-        inputs.append(args.similarity)
+        n = sim.N
     else:
-        sim = _probe_checkpoint(args)
-        inputs.append(args.checkpoint)
-
-    n = sim.N
+        n = args.steps
     if args.budget is not None:
         k = args.budget
     elif args.share_ratio is not None:
@@ -312,6 +312,12 @@ def cmd_plan(args) -> int:
         raise UsageError("provide a budget via --budget or --share-ratio")
     if not 1 <= k <= n:
         raise UsageError(f"--budget {k} out of range [1, {n}]")
+    if args.strategy == "bruteforce" and n > BRUTEFORCE_MAX_N:
+        raise UsageError(f"--strategy bruteforce needs N <= {BRUTEFORCE_MAX_N} "
+                         f"steps, got {n}")
+    if args.checkpoint is not None:
+        sim = _probe_checkpoint(args)
+    inputs = [args.similarity if args.similarity is not None else args.checkpoint]
 
     if args.strategy == "uniform":
         plan = plan_uniform(n, k)
@@ -472,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="anchor budget K")
     p_plan.add_argument("--share-ratio", type=float, default=None,
                         help="derive K = ceil(N*(1-r)) instead of --budget")
-    p_plan.add_argument("--strategy", choices=["uniform", "dp", "bruteforce"],
+    p_plan.add_argument("--strategy", choices=list(STRATEGIES),
                         default="dp")
     p_plan.add_argument("--probe-size", type=int, default=8,
                         help="probe batch size (with --checkpoint)")

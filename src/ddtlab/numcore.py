@@ -4,7 +4,12 @@ The autodiff graph is implicit: each non-leaf Tensor keeps references to
 its parents and a closure that routes the incoming gradient to them.
 ``backward`` walks the graph once in reverse topological order, so every
 node is visited exactly once and cycles are impossible by construction
-(tensors only ever point at tensors that already existed).
+(tensors only ever point at tensors that already existed). The walk
+consumes the graph: each interior node drops its gradient, parents and
+closure as it is routed, so activations and interior gradients are freed
+during the sweep rather than at the end of the step, and only leaves keep
+``grad``. A graph is differentiated once; a second ``backward`` through a
+consumed node raises ValueError.
 
 The transformer's hot paths are single nodes with hand-written backward
 passes rather than compositions of elementwise nodes:
@@ -164,19 +169,33 @@ class Tensor:
     # -- autodiff ---------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar loss.
+        """Reverse-mode sweep from a scalar loss that consumes the graph.
 
-        Fills ``grad`` on every requires_grad tensor reachable from this
+        Fills ``grad`` on every requires_grad leaf reachable from this
         one. Iterative topological order (no recursion limits), each node
-        visited exactly once.
+        visited exactly once. Each interior node is released as it is
+        reached: its ``grad``, parents and closure are cleared before the
+        closure runs, so its saved activations and incoming gradient are
+        freed once they have been routed, and its ``grad`` reads None
+        afterwards. A released node's closure raises ValueError, so a
+        second backward() through it, or through a new graph built on
+        it, fails instead of adding stale gradients again.
         """
         if self.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
         order = topological_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while order:
+            node = order.pop()
+            route = node._backward
+            if route is None:
+                continue  # a leaf keeps its grad
+            g = node.grad
+            node.grad = None
+            node._parents = ()
+            node._backward = _released
+            if g is not None:
+                route(g)
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -382,6 +401,11 @@ class Tensor:
                 self._accumulate(g * 0.5 / out_data)
 
         return Tensor._node(out_data, (self,), backward)
+
+
+def _released(g: np.ndarray) -> None:
+    raise ValueError("backward() already consumed this tensor's graph; "
+                     "run the forward pass again to get a new one")
 
 
 def _window(ndim: int, axis: int, start: int, length: int) -> tuple:

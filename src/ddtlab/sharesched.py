@@ -22,7 +22,9 @@ plan_utility and segment_utility agree bit for bit, not within tolerance.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -42,6 +44,8 @@ from .samplers import (
 __all__ = [
     "SimilarityMatrix",
     "SharingPlan",
+    "STRATEGIES",
+    "BRUTEFORCE_MAX_N",
     "DPState",
     "probe_similarity",
     "segment_utility",
@@ -59,6 +63,10 @@ __all__ = [
 ]
 
 _SIM_TOL = 1e-9
+# the planners a plan file may name
+STRATEGIES = ("uniform", "dp", "bruteforce")
+# plan_bruteforce enumerates all 2^(N-1) anchor sets
+BRUTEFORCE_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,11 @@ class SharingPlan:
     def __post_init__(self):
         a = tuple(int(x) for x in self.anchors)
         object.__setattr__(self, "anchors", a)
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown plan strategy {self.strategy!r}; "
+                             f"choose from {list(STRATEGIES)}")
+        if self.utility is not None and not math.isfinite(self.utility):
+            raise ValueError(f"plan utility must be finite, got {self.utility}")
         if not a or a[0] != 0:
             raise ValueError("anchor set must contain step 0")
         if list(a) != sorted(set(a)):
@@ -228,8 +241,8 @@ def plan_bruteforce(S, K: int) -> SharingPlan:
     same tie-break as plan_dp. Guarded to small N."""
     s = _as_matrix(S)
     n = s.shape[0]
-    if n > 20:
-        raise ValueError(f"brute force limited to N <= 20, got {n}")
+    if n > BRUTEFORCE_MAX_N:
+        raise ValueError(f"brute force limited to N <= {BRUTEFORCE_MAX_N}, got {n}")
     if not 1 <= K <= n:
         raise ValueError(f"budget K={K} out of range [1, {n}]")
     w = utility_table(s)
@@ -334,22 +347,36 @@ def _read_lines(path) -> list[str]:
 
 
 def read_similarity(path) -> SimilarityMatrix:
-    lines = _read_lines(path)
-    if not lines or lines[0] != _SIM_MAGIC:
-        raise FormatError(f"not a similarity file: {path}")
-    if len(lines) < 2 or not lines[1].startswith("N="):
-        raise FormatError("similarity file missing N header")
+    """Read the write_similarity format: magic line, N=..., then N lines
+    of N numbers, the body parsed in one np.loadtxt pass over the open
+    file. Anything else raises FormatError."""
     try:
-        n = int(lines[1][2:])
-    except ValueError as exc:
-        raise FormatError(f"bad N header: {lines[1]!r}") from exc
-    values = " ".join(lines[2:]).split()
-    if len(values) != n * n:
-        raise FormatError(f"expected {n * n} entries, found {len(values)}")
-    try:
-        s = np.array([float(v) for v in values]).reshape(n, n)
-    except ValueError as exc:
-        raise FormatError(f"non-numeric similarity entry: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n") != _SIM_MAGIC:
+                raise FormatError(f"not a similarity file: {path}")
+            header = fh.readline().rstrip("\n")
+            if not header.startswith("N="):
+                raise FormatError("similarity file missing N header")
+            try:
+                n = int(header[2:])
+            except ValueError as exc:
+                raise FormatError(f"bad N header: {header!r}") from exc
+            if n < 1:
+                raise FormatError(f"bad N header: {header!r}")
+            with warnings.catch_warnings():
+                # an empty body only warns; the shape check below rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    s = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+                except UnicodeDecodeError:  # a ValueError too; reported below
+                    raise
+                except ValueError as exc:  # a non-numeric entry or a ragged row
+                    raise FormatError(f"bad similarity body: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    if s.shape != (n, n):
+        raise FormatError(f"expected {n * n} entries as {n} rows of {n}, "
+                          f"found {s.shape[0]} rows of {s.shape[1]}")
     try:
         return SimilarityMatrix(s)
     except ValueError as exc:
@@ -380,6 +407,8 @@ def read_plan(path) -> tuple[SharingPlan, str]:
         if "=" not in line:
             raise FormatError(f"malformed plan line {line!r}")
         key, _, value = line.partition("=")
+        if key in fields:
+            raise FormatError(f"plan file repeats field {key!r}")
         fields[key] = value
     required = {"N", "K", "sharing_ratio", "strategy", "similarity_checksum", "anchors"}
     missing = required - fields.keys()
@@ -400,6 +429,6 @@ def read_plan(path) -> tuple[SharingPlan, str]:
         raise FormatError(str(exc)) from exc
     if plan.K != k:
         raise FormatError(f"plan header K={k} but {plan.K} anchors listed")
-    if abs(plan.sharing_ratio - ratio) > 1e-9:
+    if not abs(plan.sharing_ratio - ratio) <= 1e-9:  # so a NaN ratio fails too
         raise FormatError("plan header sharing_ratio inconsistent with anchors")
     return plan, fields["similarity_checksum"]

@@ -8,9 +8,10 @@ import json
 import numpy as np
 import pytest
 
+import ddtlab.cli as cli
 from ddtlab.cli import build_parser, main
 from ddtlab.model import DDTModel, ModelConfig, save_checkpoint
-from ddtlab.sharesched import plan_uniform, write_plan
+from ddtlab.sharesched import plan_uniform, write_plan, write_similarity
 
 
 def sha256(path) -> str:
@@ -401,6 +402,22 @@ def test_plan_budget_out_of_range_exits_2(tmp_path, tiny_ckpt):
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["plan", "--checkpoint", str(tiny_ckpt), "--steps", "6",
                  "--probe-size", "4", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_plan_bad_budget_or_bruteforce_size_exits_2_before_probing(tmp_path, tiny_ckpt,
+                                                                   monkeypatch):
+    probes = []
+    monkeypatch.setattr(cli, "probe_similarity", lambda *a, **k: probes.append(a))
+    sim = tmp_path / "sim25.txt"
+    write_similarity(sim, np.eye(25))
+    out = tmp_path / "o"
+    for flags in (["--checkpoint", str(tiny_ckpt), "--steps", "25",
+                   "--strategy", "bruteforce", "--budget", "5"],
+                  ["--checkpoint", str(tiny_ckpt), "--steps", "6", "--budget", "9"],
+                  ["--similarity", str(sim), "--strategy", "bruteforce", "--budget", "5"]):
+        assert main(["plan", *flags, "--out", str(out)]) == 2, flags
+    assert probes == []
+    assert not out.exists()
 
 
 def test_plan_needs_exactly_one_source(tmp_path):

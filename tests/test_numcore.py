@@ -223,6 +223,23 @@ class TestAutodiff:
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
+    def test_backward_consumes_the_graph(self):
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        h = x * x
+        loss = (h * 3.0).sum()
+        loss.backward()
+        assert np.array_equal(x.grad, [12.0])
+        assert h.grad is None and loss.grad is None
+        # stale interior gradients would be added in again (48, not 24)
+        with pytest.raises(ValueError, match="already consumed"):
+            loss.backward()
+        with pytest.raises(ValueError, match="already consumed"):
+            (h * 2.0).sum().backward()
+        # a new forward pass from the leaves differentiates normally
+        x.zero_grad()
+        ((x * x) * 3.0).sum().backward()
+        assert np.array_equal(x.grad, [12.0])
+
     def test_backward_rejects_nonscalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):

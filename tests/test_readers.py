@@ -43,7 +43,10 @@ def intact(tmp_path_factory):
     save_checkpoint(root / "checkpoint", cfg, DDTModel(cfg, seed=0).state_arrays())
     write_plan(root / "plan", SharingPlan(N=6, anchors=(0, 2, 5), utility=0.75),
                checksum="ab12")
-    s = np.full((3, 3), 0.5)
+    # full-precision entries, so a flipped byte can land in any digit
+    a = np.random.default_rng(0).normal(size=(5, 3))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    s = np.clip(a @ a.T, -1.0, 1.0)
     np.fill_diagonal(s, 1.0)
     write_similarity(root / "similarity", s)
     return {kind: (root / kind).read_bytes() for kind in READERS}

@@ -4,6 +4,7 @@ executor is verified bit-exact against full sampling in the two cases
 where sharing provably changes nothing."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -433,11 +434,33 @@ def test_sharing_plan_grid_mismatch():
 def test_similarity_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(12)
     s = random_cosine_matrix(rng, 7)
+    # signed zeros and subnormals must come back with the same bytes
+    s[1, 2] = s[2, 1] = -0.0
+    s[3, 4] = s[4, 3] = 5e-324
+    s[5, 6] = s[6, 5] = -2.2250738585072e-308
     path = tmp_path / "sim.txt"
     write_similarity(path, s)
     back = read_similarity(path)
-    assert np.array_equal(back.S, s)
+    assert back.S.tobytes() == s.tobytes()
     assert similarity_checksum(back) == similarity_checksum(s)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("N=0\n", "bad N header"),
+    ("N=-2\n1 0\n0 1\n", "bad N header"),
+    ("N=2\n", "found 0 rows"),  # numpy only warns on an empty body
+    ("N=2\n1 0 0 1\n", "found 1 rows of 4"),  # the right count, not N rows of N
+    ("N=2\n1 0 0\n1\n", "bad similarity body"),  # ragged rows
+    ("N=2\n1 0\n# note\n0 1\n", "bad similarity body"),
+    ("N=2\n1 0 # note\n0 1\n", "bad similarity body"),
+])
+def test_similarity_body_must_be_n_rows_of_n(tmp_path, body, match):
+    path = tmp_path / "sim.txt"
+    path.write_text("ddtlab-similarity v1\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=match):
+            read_similarity(path)
 
 
 def test_similarity_file_errors(tmp_path):
@@ -499,6 +522,33 @@ def test_plan_file_errors(tmp_path):
         path.write_text(re.sub(f"^{field}=.*$", f"{field}=abc", good, flags=re.M))
         with pytest.raises(FormatError, match="bad plan numbers"):
             read_plan(path)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("sharing_ratio", "nan", "sharing_ratio inconsistent"),
+    ("utility", "nan", "utility must be finite"),
+    ("utility", "inf", "utility must be finite"),
+    ("utility", "-inf", "utility must be finite"),
+    ("strategy", "greedy", "unknown plan strategy"),
+])
+def test_plan_file_rejects_corrupt_header_value(tmp_path, field, value, match):
+    path = tmp_path / "plan.txt"
+    write_plan(path, plan_dp(WORKED, K=2))
+    good = path.read_text()
+    path.write_text(re.sub(f"^{field}=.*$", f"{field}={value}", good, flags=re.M))
+    with pytest.raises(FormatError, match=match):
+        read_plan(path)
+
+
+def test_plan_file_rejects_repeated_field(tmp_path):
+    path = tmp_path / "plan.txt"
+    plan = plan_dp(WORKED, K=2)
+    write_plan(path, plan)
+    # a second, equally valid anchor set must not silently win
+    other = 1 if plan.anchors[1] != 1 else 2
+    path.write_text(path.read_text() + f"anchors=0,{other}\n")
+    with pytest.raises(FormatError, match="repeats field 'anchors'"):
+        read_plan(path)
 
 
 @pytest.mark.parametrize("marker", [b"ddtlab", b"strategy=", b"anchors="])

@@ -1,5 +1,7 @@
 """Spectral diagnostics against closed forms and Monte Carlo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -234,6 +236,75 @@ def test_mmd_deterministic():
     a = rng.normal(size=(32, 4))
     b = rng.normal(size=(32, 4))
     assert mmd_rbf(a, b) == mmd_rbf(a, b)
+
+
+def reference_mmd_rbf(x, y, bandwidth=None):
+    """The whole-matrix formula that mmd_rbf evaluates in place, kept as
+    it was written before as the bit-exactness oracle."""
+    def sq_dists(a, b):
+        aa = np.sum(a * a, axis=1)
+        bb = np.sum(b * b, axis=1)
+        d = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+        return np.maximum(d, 0.0)
+
+    x = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
+    y = np.asarray(y, dtype=np.float64).reshape(len(y), -1)
+    d_xx = sq_dists(x, x)
+    d_yy = sq_dists(y, y)
+    d_xy = sq_dists(x, y)
+    if bandwidth is None:
+        pooled = np.concatenate([
+            d_xx[np.triu_indices(len(x), k=1)],
+            d_yy[np.triu_indices(len(y), k=1)],
+            d_xy.ravel(),
+        ])
+        med = float(np.median(pooled))
+        bandwidth = med if med > 0 else 1.0
+    gamma = 1.0 / bandwidth
+    stat = (np.mean(np.exp(-gamma * d_xx)) + np.mean(np.exp(-gamma * d_yy))
+            - 2.0 * np.mean(np.exp(-gamma * d_xy)))
+    return float(np.sqrt(max(stat, 0.0)))
+
+
+@pytest.mark.parametrize("case", ["few", "blocks", "reference_set", "same_array",
+                                  "equal_copy", "all_equal_rows", "bandwidth"])
+def test_mmd_matches_whole_matrix_formula_bit_for_bit(case):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(37, 12)) * 3.0
+    y = rng.normal(size=(300, 12)) + 0.5
+    bandwidth = None
+    if case == "few":  # fewer rows than one block, odd sizes
+        x, y = x[:3], y[:5]
+    elif case == "reference_set":  # the sample workload's 64 vs 1024 images
+        x = rng.normal(size=(64, 1, 8, 8))
+        y = rng.normal(size=(1024, 1, 8, 8)) * 1.1
+    elif case == "same_array":  # one buffer on both sides takes the x x^T path
+        y = x
+    elif case == "equal_copy":
+        y = x.copy()
+    elif case == "all_equal_rows":  # median 0 falls back to bandwidth 1
+        x, y = np.ones((6, 4)), np.ones((9, 4))
+    elif case == "bandwidth":
+        bandwidth = 7.5
+    assert mmd_rbf(x, y, bandwidth) == reference_mmd_rbf(x, y, bandwidth)
+
+
+def test_mmd_peak_memory_at_reference_set_size():
+    # one 1024 x 1024 distance matrix plus the pooled buffer for the
+    # median; the whole-matrix formula peaked at 3.6 x 8n^2 bytes
+    n = 1024
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(64, 64))
+    y = rng.normal(size=(n, 64))
+    mmd_rbf(x, y)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mmd_rbf(x, y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_spectral_distance_prefers_matching_band():

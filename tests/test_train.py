@@ -3,6 +3,7 @@ timestep statistics (against a normal-CDF oracle), alignment loss range,
 loss decomposition, determinism, frozen teacher, NaN handling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,53 @@ class TestTrainStep:
         batch = make_batch(make_dataset("bandlimited"), cfg, np.random.default_rng(2), 32)
         _, _, total = loss_terms(model, batch, alignment_weight=0.5)
         assert len(topological_order(total)) <= 300
+
+    def test_backward_frees_interior_grads_and_matches_retaining_walk(self):
+        # the reference walk is the graph-retaining sweep backward replaced
+        def retaining_backward(root):
+            order = topological_order(root)
+            root.grad = np.ones_like(root.data)
+            for node in reversed(order):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+
+        cfg = preset("desk")
+        batch = make_batch(make_dataset("bandlimited"), cfg, np.random.default_rng(5), 32)
+        ref = DDTModel(cfg, seed=4)
+        retaining_backward(loss_terms(ref, batch, alignment_weight=0.5)[2])
+        model = DDTModel(cfg, seed=4)
+        _, _, total = loss_terms(model, batch, alignment_weight=0.5)
+        interior = [t for t in topological_order(total) if t._backward is not None]
+        total.backward()
+        assert all(t.grad is None for t in interior)
+        for name, p in model.named_parameters():
+            want = ref.params[name].grad
+            assert (p.grad is None) == (want is None), name
+            assert want is None or np.array_equal(p.grad, want), name
+
+    def test_step_peak_memory_stays_near_the_forward_graph(self):
+        # a graph-retaining sweep peaked at 1.88x the forward graph: every
+        # interior gradient and closure lived until the step ended
+        cfg = preset("desk")
+        model = DDTModel(cfg, seed=4)
+        opt = Adam(dict(model.named_parameters()))
+        batch = make_batch(make_dataset("bandlimited"), cfg, np.random.default_rng(6), 32)
+        train_step(model, opt, batch)  # warm-up: lazy tables are built once
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            graph = loss_terms(model, batch, alignment_weight=0.5)
+            forward = tracemalloc.get_traced_memory()[0] - base
+            del graph
+            model.zero_grad()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train_step(model, opt, batch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * forward, (peak, forward)
 
     def test_ten_steps_deterministic(self):
         def run():
