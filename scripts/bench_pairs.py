@@ -22,6 +22,12 @@ neither), the change of the median against the metric's bound and
 its median is better than the parent's by more than the parent's
 interquartile range (q3 - q1). Each workload also gets each side's
 median ms per request kind.
+
+Every run also records the BLAS thread count it ran with and the thread
+variables of its environment. A workload whose runs did not all run with
+one BLAS thread count gets no summary, only a "refused" reason, and the
+script exits 1: ddtlab's inference splits its batches by BLAS threads,
+so such sides did not do the same work.
 """
 
 from __future__ import annotations
@@ -75,6 +81,8 @@ def run_once(bench: dict, side_root: Path, workload: str, seed: int,
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "op_ms_p50_by_kind": detail["op_ms_p50_by_kind"],
         "checkpoint": detail["checkpoint"]["path"],
+        "blas_threads": detail["machine"]["blas_threads"],
+        "thread_env": detail["machine"]["thread_env"],
     }
 
 
@@ -87,7 +95,12 @@ def spread(values: list[float]) -> dict:
 def summarize(bench: dict, runs: dict) -> dict:
     """Per metric: each side's spread and wins, the median change and
     whether a gain is shown. Then per side and request kind, the median over the runs of each
-    run's median ms, which shows the kind that op_ms_p50 lands on."""
+    run's median ms, which shows the kind that op_ms_p50 lands on.
+    Raises ValueError when the runs did not all use one BLAS thread count."""
+    threads = {side: {r["blas_threads"] for r in runs[side]} for side in SIDES}
+    if len(threads["parent"] | threads["work"]) != 1:
+        raise ValueError(f"BLAS threads differ: parent ran with {threads['parent']}, "
+                         f"work with {threads['work']}")
     out = {}
     for metric in bench["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -157,13 +170,19 @@ def main() -> int:
                     runs[side].append({**run, "order": order.index(side)})
                     print(f"{workload} pair {i} {side}: "
                           f"op_ms_p50 {run['metrics']['op_ms_p50']:.1f}", file=sys.stderr)
-            report["workloads"][workload] = {"runs": runs, "summary": summarize(bench, runs)}
+            try:
+                report["workloads"][workload] = {"runs": runs,
+                                                 "summary": summarize(bench, runs)}
+            except ValueError as err:
+                print(f"{workload}: not summarised: {err}", file=sys.stderr)
+                report["workloads"][workload] = {"runs": runs, "summary": None,
+                                                 "refused": str(err)}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out.name}")
-    return 0
+    return 1 if any("refused" in w for w in report["workloads"].values()) else 0
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ from .datasets import DATASETS, make_dataset
 from .errors import FormatError, NumericalError, UsageError
 from .metrics import mmd_rbf, spectral_distance
 from .model import DDTModel, load_checkpoint, preset, save_checkpoint
+from .numcore import blas_threads, row_slices
 from .rng import substream
 from .samplers import GuidanceSpec, SOLVER_ORDERS, make_timegrid
 from .sharesched import (
@@ -91,8 +93,28 @@ def _load_model(path) -> tuple[DDTModel, dict[str, np.ndarray]]:
     return DDTModel.from_arrays(config, arrays), arrays
 
 
+def _environment(slices: int) -> dict:
+    """What a run computed with: the CPUs it may use, the software, the
+    BLAS and its thread count, and the row slices each model call was cut
+    into (numcore.row_parallel)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without the dict form
+        blas = {}
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return {
+        "cpus": cpus,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "threads": blas_threads()},
+        "row_slices": slices,
+    }
+
+
 def _write_manifest(out_dir: str, command: str, seed: int, inputs: list,
-                    outputs: list[str], settings: dict) -> None:
+                    outputs: list[str], settings: dict, environment: dict | None = None) -> None:
     manifest = {
         "command": command,
         "seed": seed,
@@ -100,6 +122,8 @@ def _write_manifest(out_dir: str, command: str, seed: int, inputs: list,
         "outputs": sorted(outputs),
         "settings": settings,
     }
+    if environment is not None:
+        manifest["environment"] = environment
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
@@ -225,6 +249,8 @@ def cmd_sample(args) -> int:
                                                 size=args.num)
 
     model.reset_counters()
+    # every model call of the run is at batch args.num
+    environment = _environment(row_slices(args.num))
     samples = sample_with_sharing(model, x0, grid, plan, y,
                                   guidance=guidance, solver=args.solver)
     expected_k = args.steps if plan is None else plan.K
@@ -264,7 +290,8 @@ def cmd_sample(args) -> int:
                      "cfg_interval": [a, b], "num": args.num,
                      "dataset": args.dataset,
                      "share_ratio": args.share_ratio,
-                     "plan": args.plan})
+                     "plan": args.plan},
+                    environment)
     print(f"sampled {args.num}; mmd {report['mmd']:.4f} "
           f"(noise baseline {report['mmd_noise_baseline']:.4f}); "
           f"nfe enc/dec {model.nfe_encoder}/{model.nfe_decoder}")

@@ -66,7 +66,9 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: float | None = None) -> flo
 
     The kernel scale defaults to the median heuristic: gamma = 1 / median
     of the pooled pairwise squared distances, which keeps the statistic
-    deterministic and comparable across calls on the same data.
+    deterministic and comparable across calls on the same data. A given
+    bandwidth must be a finite number > 0; anything else raises
+    ValueError.
 
     Memory: one distance matrix is live at a time, so the peak is the
     largest of n_x², n_y² and n_x·n_y doubles plus, for the median, one
@@ -83,6 +85,8 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: float | None = None) -> flo
         raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     if bandwidth is None:
         bandwidth = _median_bandwidth(x, y)
+    elif not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be a finite number > 0, got {bandwidth}")
     gamma = 1.0 / bandwidth
     stat = (_kernel_mean(x, x, gamma) + _kernel_mean(y, y, gamma)
             - 2.0 * _kernel_mean(x, y, gamma))

@@ -248,14 +248,15 @@ def train(model: DDTModel, dataset, steps: int, batch_size: int, seed: int,
 
 
 def write_metrics_csv(path, history: list[LossReport], start_step: int = 0) -> None:
-    """step,loss_dec,loss_enc,total; temp-and-rename so readers never see
-    a half-written file."""
+    """step,loss_dec,loss_enc,total,skipped; skipped is 1 for a step whose
+    non-finite gradient left the parameters unchanged. Temp-and-rename so
+    readers never see a half-written file."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("step,loss_dec,loss_enc,total\n")
+        fh.write("step,loss_dec,loss_enc,total,skipped\n")
         for i, rep in enumerate(history):
             fh.write(f"{start_step + i},{rep.loss_dec:.10g},"
-                     f"{rep.loss_enc:.10g},{rep.total:.10g}\n")
+                     f"{rep.loss_enc:.10g},{rep.total:.10g},{int(rep.skipped)}\n")
     os.replace(tmp, path)
 
 

@@ -4,13 +4,18 @@ resume continuity, sharing/guidance neutrality, and NFE accounting."""
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddtlab
 import ddtlab.cli as cli
 from ddtlab.cli import build_parser, main
-from ddtlab.model import DDTModel, ModelConfig, save_checkpoint
+from ddtlab.model import DDTModel, ModelConfig, preset, save_checkpoint
 from ddtlab.sharesched import plan_uniform, write_plan, write_similarity
 
 
@@ -67,7 +72,7 @@ def test_train_writes_artifacts_and_is_deterministic(tmp_path):
     assert len(manifest["inputs"][str(cfg)]) == 64  # sha256 hex
 
     rows = (out1 / "metrics.csv").read_text().strip().split("\n")
-    assert rows[0] == "step,loss_dec,loss_enc,total"
+    assert rows[0] == "step,loss_dec,loss_enc,total,skipped"
     assert len(rows) == 7
 
 
@@ -178,6 +183,52 @@ def test_sample_deterministic(tmp_path, tiny_ckpt):
         outs.append(out)
     assert sha256(outs[0] / "samples.npy") == sha256(outs[1] / "samples.npy")
     assert (outs[0] / "eval.json").read_text() == (outs[1] / "eval.json").read_text()
+
+
+def test_sample_manifest_records_environment(tmp_path, tiny_ckpt):
+    out = tmp_path / "s"
+    assert main(["sample", "--checkpoint", str(tiny_ckpt), "--steps", "2",
+                 "--num", "4", "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == {"cpus", "python", "numpy", "blas", "row_slices"}
+    assert set(env["blas"]) == {"name", "version", "threads"}
+    assert env["cpus"] >= 1
+    assert env["numpy"] == np.__version__
+    assert env["row_slices"] == 1  # 4 rows are too few to split
+
+
+def _sample_in_subprocess(ckpt, out, thread_env: dict) -> None:
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(ddtlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(thread_env)
+    code = "import sys; from ddtlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, "sample", "--checkpoint", str(ckpt),
+                    "--steps", "3", "--num", "32", "--cfg-w", "1.5", "--seed", "4",
+                    "--out", str(out)], env=env, check=True, capture_output=True)
+
+
+def test_sample_row_slices_match_one_blas_thread(tmp_path):
+    """A desk model sampled with its batch in row slices (the default BLAS
+    threads) and unsplit (one BLAS thread) gives the same bytes."""
+    model = DDTModel(preset("desk"), seed=0)
+    rng = np.random.default_rng(5)
+    for _, p in model.named_parameters():
+        p.data = p.data + 0.05 * rng.standard_normal(p.data.shape)
+    ckpt = tmp_path / "desk.ckpt"
+    save_checkpoint(ckpt, model.config, model.state_arrays())
+    one, default = tmp_path / "one", tmp_path / "default"
+    _sample_in_subprocess(ckpt, one, {"OPENBLAS_NUM_THREADS": "1"})
+    _sample_in_subprocess(ckpt, default, {})
+    assert sha256(one / "samples.npy") == sha256(default / "samples.npy")
+    reports = [json.loads((d / "eval.json").read_text()) for d in (one, default)]
+    assert [(r["nfe_encoder"], r["nfe_decoder"]) for r in reports] == [(6, 6)] * 2
+    envs = [json.loads((d / "manifest.json").read_text())["environment"]
+            for d in (one, default)]
+    assert envs[0]["row_slices"] == 1
+    threads = envs[1]["blas"]["threads"]
+    assert envs[1]["row_slices"] == (1 if threads is None else min(threads, 2))
 
 
 def test_sample_full_budget_plan_matches_no_plan(tmp_path, tiny_ckpt):

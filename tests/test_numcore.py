@@ -8,6 +8,8 @@ adding or removing a test changes no other test's inputs.
 """
 
 import math
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddtlab import numcore
 from ddtlab.model import ConditionBundle
 from ddtlab.numcore import (
     Tensor,
@@ -25,6 +28,7 @@ from ddtlab.numcore import (
     modulate,
     no_grad,
     rms_norm,
+    row_parallel,
     self_attention,
     silu,
     swiglu,
@@ -257,6 +261,110 @@ class TestAutodiff:
         y = (x * 2.0).detach()
         z = (y * 3.0).sum()
         assert not z.requires_grad
+
+
+class TestRowParallel:
+    def test_slices_join_in_order(self, monkeypatch):
+        monkeypatch.setattr(numcore, "row_slices", lambda rows: 3)
+        a, b = np.arange(14.0).reshape(7, 2), Tensor(np.arange(7.0))
+        seen = []
+
+        def fn(a_, b_):
+            seen.append(len(a_))
+            return Tensor(a_ * 2.0), Tensor(b_.data + 1.0)
+
+        with no_grad():
+            doubled, shifted = row_parallel(fn, a, b)
+        assert sorted(seen) == [2, 2, 3]
+        assert np.array_equal(doubled.data, a * 2.0)
+        assert np.array_equal(shifted.data, np.arange(7.0) + 1.0)
+
+    def test_grad_path_runs_once_on_the_whole_batch(self, monkeypatch):
+        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        seen = []
+
+        def fn(x_):
+            seen.append(x_)
+            return x_ * 2.0
+
+        row_parallel(fn, x).sum().backward()
+        assert seen == [x]
+        assert np.array_equal(x.grad, np.full((4, 3), 2.0))
+
+    def test_blas_threads_restored_also_when_a_slice_raises(self, monkeypatch):
+        before = numcore.blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS thread control in this process")
+        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
+        inside = []
+
+        def fn(a):
+            inside.append(numcore.blas_threads())
+            return Tensor(a)
+
+        with no_grad():
+            row_parallel(fn, np.arange(4.0))
+        assert inside == [1, 1]
+        assert numcore.blas_threads() == before
+        for bad_row in (0.0, 2.0):  # the caller's slice, then a worker's
+
+            def failing(a, bad_row=bad_row):
+                if a[0] == bad_row:
+                    raise RuntimeError("slice failed")
+                return Tensor(a)
+
+            with no_grad(), pytest.raises(RuntimeError, match="slice failed"):
+                row_parallel(failing, np.arange(4.0))
+            assert numcore.blas_threads() == before
+
+    def test_workers_run_under_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
+
+        def fn(a):
+            return Tensor(np.exp(a))
+
+        big = np.array([0.0, 0.0, 1e4, 1e4])  # overflows in the second slice only
+        with no_grad(), np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            row_parallel(fn, big)
+
+    def test_concurrent_callers_serialise(self, monkeypatch):
+        # more callers than cores, switching often: every result must be
+        # whole and the BLAS thread count restored once all are done
+        before = numcore.blas_threads()
+        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
+        wrong = []
+
+        def caller(k):
+            for _ in range(40):
+                a = np.arange(8.0) + k
+                out = row_parallel(lambda x: Tensor(x * 2.0), a)
+                if not np.array_equal(out.data, a * 2.0):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with no_grad():
+                callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+                for th in callers:
+                    th.start()
+                for th in callers:
+                    th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in callers)
+        assert wrong == []
+        assert numcore.blas_threads() == before
+
+    def test_model_call_restores_blas_threads(self):
+        from ddtlab.model import DDTModel, preset
+        before = numcore.blas_threads()
+        model = DDTModel(preset("desk"), seed=0)
+        x = np.random.default_rng(3).standard_normal((64, 1, 8, 8))
+        with no_grad():
+            model.forward(x, 0.5, 1)
+        assert numcore.blas_threads() == before
 
 
 class TestFusedOps:

@@ -231,6 +231,20 @@ def test_mmd_validation():
         mmd_rbf(np.ones((4, 3)), np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("bandwidth", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+def test_mmd_rejects_bad_bandwidth(bandwidth):
+    # -1 once returned 0.0 for clearly different batches, nan returned
+    # NaN and 0 raised ZeroDivisionError
+    x = np.random.default_rng(7).normal(size=(8, 4))
+    with pytest.raises(ValueError, match="bandwidth"):
+        mmd_rbf(x, x + 1.0, bandwidth=bandwidth)
+
+
+def test_mmd_accepts_positive_bandwidth():
+    x = np.random.default_rng(7).normal(size=(8, 4))
+    assert mmd_rbf(x, x + 1.0, bandwidth=2.0) > 0.0
+
+
 def test_mmd_deterministic():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(32, 4))

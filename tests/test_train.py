@@ -464,10 +464,34 @@ class TestConfigAndMetrics:
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, hist)
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,loss_dec,loss_enc,total"
+        assert lines[0] == "step,loss_dec,loss_enc,total,skipped"
         assert lines[1].startswith("0,1.5,")
         assert len(lines) == 3
         assert not (tmp_path / "metrics.csv.tmp").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_metrics_csv_shows_skipped_steps(self, tmp_path, monkeypatch):
+        # step 1's gradient is non-finite; its row must say so
+        cfg = tiny_config()
+        model = DDTModel(cfg, seed=8)
+        ds = make_dataset("bandlimited", cfg.image_size, cfg.channels, cfg.num_classes)
+        honest = train_mod.loss_terms
+        calls = []
+
+        def poisoned_once(model_, batch_, w_):
+            calls.append(None)
+            loss_dec, loss_enc, total = honest(model_, batch_, w_)
+            if len(calls) == 2:
+                total = total + (model_.params["enc.embed.w"] * 1e200).sum() * 1e200
+            return loss_dec, loss_enc, total
+
+        monkeypatch.setattr(train_mod, "loss_terms", poisoned_once)
+        hist, _ = train(model, ds, steps=3, batch_size=4, seed=5)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, hist)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0", "1", "2"]
+        assert [r[-1] for r in rows] == ["0", "1", "0"]
 
 
 class TestAdam:
