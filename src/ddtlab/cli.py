@@ -55,6 +55,7 @@ from .spectral import (
 from .train import (
     dataset_for,
     parse_train_config,
+    step_slices,
     train,
     write_metrics_csv,
     Adam,
@@ -95,8 +96,9 @@ def _load_model(path) -> tuple[DDTModel, dict[str, np.ndarray]]:
 
 def _environment(slices: int) -> dict:
     """What a run computed with: the CPUs it may use, the software, the
-    BLAS and its thread count, and the row slices each model call was cut
-    into (numcore.row_parallel)."""
+    BLAS and its thread count, and the row slices each model call
+    (sample: numcore.row_parallel) or training step (train:
+    train.step_slices) was cut into."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # a numpy without the dict form
@@ -187,7 +189,8 @@ def cmd_train(args) -> int:
                     {"preset": config.preset, "steps": config.steps,
                      "batch": config.batch, "dataset": config.dataset,
                      "alignment_weight": config.alignment_weight,
-                     "lr": config.lr, "start_step": start_step})
+                     "lr": config.lr, "start_step": start_step},
+                    _environment(step_slices(config.batch)))
     last = history[-1]
     print(f"trained {config.steps - start_step} steps; "
           f"loss_dec {last.loss_dec:.4f} loss_enc {last.loss_enc:.4f}")

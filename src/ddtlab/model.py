@@ -17,6 +17,7 @@ the encoder a stable per-token regression target without external weights.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -426,6 +427,17 @@ class DDTModel:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
+
+    def with_new_leaves(self) -> "DDTModel":
+        """This model with fresh parameter leaves over the same arrays and
+        its counters at zero: a graph built on it fills the new leaves'
+        grad, never this model's, and an in-place update of this model's
+        arrays is seen by both."""
+        view = copy.copy(self)
+        view.params = {name: Tensor(p.data, requires_grad=True)
+                       for name, p in self.params.items()}
+        view.reset_counters()
+        return view
 
     def reset_counters(self) -> None:
         self.nfe_encoder = 0

@@ -31,11 +31,13 @@ passes rather than compositions of elementwise nodes:
 Each keeps the operation order of the composition it replaces, so a
 forward pass under no_grad is bit-identical to the composed one.
 
-Inference is row-parallel: ``row_parallel`` runs a no_grad forward whose
-rows are independent as contiguous row slices, one per OpenBLAS thread
-(``row_slices``), with BLAS held at one thread meanwhile. Most of a block's
-time is single-threaded elementwise numpy work, so the slices put the
-cores BLAS was allowed to every part of the forward, not just the GEMMs.
+Independent calls run side by side through ``parallel_calls``, with BLAS
+held at one thread meanwhile. Most of a block's time is single-threaded
+elementwise numpy work, so this puts the cores BLAS was allowed to every
+part of the work, not just the GEMMs. Inference uses it through
+``row_parallel``, which runs a no_grad forward whose rows are independent
+as contiguous row slices, one per OpenBLAS thread (``row_slices``);
+training runs the two halves of a batch through it (train.train_step).
 
 Also home to the orthonormal type-II DCT basis used across the package
 (spectral.dct2 applies it along both image axes as two matrix products,
@@ -49,7 +51,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +62,7 @@ __all__ = [
     "is_grad_enabled",
     "blas_threads",
     "row_slices",
+    "parallel_calls",
     "row_parallel",
     "linear",
     "rms_norm",
@@ -71,30 +74,33 @@ __all__ = [
     "dct_matrix",
 ]
 
-_GRAD_ENABLED = True
+# Per context, not per process: a thread that enters no_grad turns graph
+# building off for itself alone, and a worker run under a copy of the
+# caller's context (parallel_calls) inherits the caller's mode.
+_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "ddtlab_grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables graph construction (inference mode)."""
+    """Context manager that disables graph construction (inference mode)
+    in the current context."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_ENABLED.get()
+        _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED.set(self._prev)
         return False
 
 
 def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 # ---------------------------------------------------------------------------
-# row-parallel inference
+# parallel regions: row-parallel inference and split training steps
 # ---------------------------------------------------------------------------
 
 # Fewest rows a slice may hold. Encode plus decode of the desk preset
@@ -162,7 +168,8 @@ _row_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool)
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The slice workers' pool, made on first use and grown on demand."""
+    """The parallel_calls workers' pool, made on first use and grown on
+    demand."""
     global _row_pool
     if _row_pool is None or _row_pool[0] < workers:
         if _row_pool is not None:
@@ -191,45 +198,58 @@ def _concat(parts: list):
     return Tensor(np.concatenate([p.data for p in parts]))
 
 
+def parallel_calls(calls: Sequence[Callable[[], object]]) -> list:
+    """[call() for call in calls], run side by side when BLAS has threads
+    to spare, for calls that do not touch each other's data.
+
+    With more than one BLAS thread, the calling thread runs the first
+    call and a thread pool the others, each under a copy of the caller's
+    context (so the grad mode and np.errstate hold there too). Meanwhile
+    BLAS runs on one thread, so the process never runs more compute
+    threads than BLAS was allowed; the count is restored afterwards, also
+    when a call raises. One region runs at a time. With one BLAS thread,
+    or none whose count can be read and set, the calls run one after
+    another on the caller's thread. Either way each call does the same
+    operations, so the results do not depend on which way they ran.
+    """
+    controls = _blas_controls()
+    if len(calls) < 2 or controls is None or controls[0]() < 2:
+        return [call() for call in calls]
+    with _ROW_LOCK:
+        before = controls[0]()
+        controls[1](1)
+        futures = []
+        try:
+            pool = _pool(len(calls) - 1)
+            futures = [pool.submit(contextvars.copy_context().run, call)
+                       for call in calls[1:]]
+            results = [calls[0]()]
+            results += [f.result() for f in futures]
+        finally:
+            wait(futures)
+            controls[1](before)
+    return results
+
+
 def row_parallel(fn: Callable, *args):
     """fn(*args) for a fn whose output rows depend only on the same rows
     of its inputs: every arg is a Tensor or array with the rows on axis
     0, and fn returns a Tensor or a tuple of Tensors.
 
     Under no_grad, with `row_slices` > 1, the rows are cut into that many
-    contiguous slices. The calling thread runs the first and a thread
-    pool the others, each under a copy of the caller's context (so
-    np.errstate holds there too), and the slices' results are joined in
-    order. Meanwhile BLAS runs on one thread, so the process never runs
-    more compute threads than BLAS was allowed; the count is restored
-    afterwards, also when a slice raises. Each row goes through the same
-    operations as in one call, so the result is bit-identical. One
-    region runs at a time. With gradients enabled, or too few rows or
-    BLAS threads to split, fn runs once on the caller's thread.
+    contiguous slices that run through `parallel_calls`, and the slices'
+    results are joined in order. Each row goes through the same
+    operations as in one call, so the result is bit-identical. With
+    gradients enabled, or too few rows or BLAS threads to split, fn runs
+    once on the caller's thread.
     """
     rows = args[0].shape[0]
-    slices = 1 if _GRAD_ENABLED else row_slices(rows)
+    slices = 1 if _GRAD_ENABLED.get() else row_slices(rows)
     if slices == 1:
         return fn(*args)
     bounds = [rows * i // slices for i in range(slices + 1)]
     parts = [[_rows(a, lo, hi) for a in args] for lo, hi in zip(bounds, bounds[1:])]
-    controls = _blas_controls()
-    with _ROW_LOCK:
-        before = controls[0]() if controls else None
-        if controls:
-            controls[1](1)
-        futures = []
-        try:
-            pool = _pool(slices - 1)
-            futures = [pool.submit(contextvars.copy_context().run, fn, *part)
-                       for part in parts[1:]]
-            results = [fn(*parts[0])]
-            results += [f.result() for f in futures]
-        finally:
-            wait(futures)
-            if controls:
-                controls[1](before)
-    return _concat(results)
+    return _concat(parallel_calls([partial(fn, *part) for part in parts]))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -277,7 +297,7 @@ class Tensor:
     def _node(cls, data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
         out = cls(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -511,7 +531,7 @@ class Tensor:
             raise ValueError(f"cannot split axis of size {width} into {n} chunks")
         step = width // n
         windows = [_window(self.ndim, ax, i * step, step) for i in range(n)]
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return [Tensor(self.data[index]) for index in windows]
 
         def hub_backward(g):

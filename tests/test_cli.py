@@ -50,6 +50,14 @@ def write_config(path, **overrides):
     return path
 
 
+def metrics_rows(path) -> list[list[str]]:
+    """metrics.csv as rows of fields, without the step_ms column: wall
+    times differ from run to run, every other column must not."""
+    rows = [line.split(",") for line in path.read_text().strip().split("\n")]
+    keep = [i for i, name in enumerate(rows[0]) if name != "step_ms"]
+    return [[row[i] for i in keep] for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -64,7 +72,7 @@ def test_train_writes_artifacts_and_is_deterministic(tmp_path):
     assert (out1 / "metrics.csv").exists()
     assert (out1 / "manifest.json").exists()
     assert sha256(out1 / "checkpoint.ckpt") == sha256(out2 / "checkpoint.ckpt")
-    assert (out1 / "metrics.csv").read_text() == (out2 / "metrics.csv").read_text()
+    assert metrics_rows(out1 / "metrics.csv") == metrics_rows(out2 / "metrics.csv")
 
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["command"] == "train"
@@ -72,8 +80,12 @@ def test_train_writes_artifacts_and_is_deterministic(tmp_path):
     assert len(manifest["inputs"][str(cfg)]) == 64  # sha256 hex
 
     rows = (out1 / "metrics.csv").read_text().strip().split("\n")
-    assert rows[0] == "step,loss_dec,loss_enc,total,skipped"
+    assert rows[0] == "step,loss_dec,loss_enc,total,grad_norm,step_ms,skipped"
     assert len(rows) == 7
+    assert all(float(r.split(",")[5]) > 0.0 for r in rows[1:])  # step_ms
+    env = manifest["environment"]
+    assert set(env) == {"cpus", "python", "numpy", "blas", "row_slices"}
+    assert env["row_slices"] == 1  # a batch of 4 trains as one graph
 
 
 def test_train_resume_is_bit_exact_and_spike_free(tmp_path):
@@ -92,14 +104,14 @@ def test_train_resume_is_bit_exact_and_spike_free(tmp_path):
     assert sha256(straight / "checkpoint.ckpt") == sha256(resumed / "checkpoint.ckpt")
 
     # the resumed metrics rows are exactly the straight run's tail
-    straight_rows = (straight / "metrics.csv").read_text().strip().split("\n")[1:]
-    resumed_rows = (resumed / "metrics.csv").read_text().strip().split("\n")[1:]
+    straight_rows = metrics_rows(straight / "metrics.csv")[1:]
+    resumed_rows = metrics_rows(resumed / "metrics.csv")[1:]
     assert resumed_rows == straight_rows[8:]
 
     # continuity: first resumed loss is no spike over the trailing average
-    losses = [float(r.split(",")[1]) for r in straight_rows]
+    losses = [float(r[1]) for r in straight_rows]
     moving_avg = np.mean(losses[3:8])
-    first_resumed = float(resumed_rows[0].split(",")[1])
+    first_resumed = float(resumed_rows[0][1])
     assert first_resumed < 2.0 * moving_avg
 
 
@@ -197,16 +209,21 @@ def test_sample_manifest_records_environment(tmp_path, tiny_ckpt):
     assert env["row_slices"] == 1  # 4 rows are too few to split
 
 
-def _sample_in_subprocess(ckpt, out, thread_env: dict) -> None:
+def _cli_in_subprocess(args: list[str], thread_env: dict) -> None:
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     src = str(Path(ddtlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(thread_env)
     code = "import sys; from ddtlab.cli import main; sys.exit(main(sys.argv[1:]))"
-    subprocess.run([sys.executable, "-c", code, "sample", "--checkpoint", str(ckpt),
-                    "--steps", "3", "--num", "32", "--cfg-w", "1.5", "--seed", "4",
-                    "--out", str(out)], env=env, check=True, capture_output=True)
+    subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                   capture_output=True)
+
+
+def _sample_in_subprocess(ckpt, out, thread_env: dict) -> None:
+    _cli_in_subprocess(["sample", "--checkpoint", str(ckpt), "--steps", "3",
+                        "--num", "32", "--cfg-w", "1.5", "--seed", "4",
+                        "--out", str(out)], thread_env)
 
 
 def test_sample_row_slices_match_one_blas_thread(tmp_path):
@@ -229,6 +246,22 @@ def test_sample_row_slices_match_one_blas_thread(tmp_path):
     assert envs[0]["row_slices"] == 1
     threads = envs[1]["blas"]["threads"]
     assert envs[1]["row_slices"] == (1 if threads is None else min(threads, 2))
+
+
+def test_train_split_step_matches_one_blas_thread(tmp_path):
+    """A desk batch of 32 trains as two halves, side by side with the
+    default BLAS threads and one after the other with one thread; the
+    weights and every column but step_ms are the same either way."""
+    cfg = write_config(tmp_path / "config.txt", steps=3, batch=32)
+    one, default = tmp_path / "one", tmp_path / "default"
+    for out, thread_env in ((one, {"OPENBLAS_NUM_THREADS": "1"}), (default, {})):
+        _cli_in_subprocess(["train", "--config", str(cfg), "--out", str(out)], thread_env)
+    assert sha256(one / "checkpoint.ckpt") == sha256(default / "checkpoint.ckpt")
+    assert metrics_rows(one / "metrics.csv") == metrics_rows(default / "metrics.csv")
+    envs = [json.loads((d / "manifest.json").read_text())["environment"]
+            for d in (one, default)]
+    assert [env["row_slices"] for env in envs] == [2, 2]
+    assert envs[0]["blas"]["threads"] in (1, None)
 
 
 def test_sample_full_budget_plan_matches_no_plan(tmp_path, tiny_ckpt):

@@ -357,6 +357,31 @@ class TestRowParallel:
         assert wrong == []
         assert numcore.blas_threads() == before
 
+    def test_slice_workers_build_no_graph(self, monkeypatch):
+        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        modes = []
+
+        def fn(x_):
+            modes.append(numcore.is_grad_enabled())
+            return x_ * 2.0
+
+        with no_grad():
+            out = row_parallel(fn, x)
+        assert modes == [False, False]
+        assert not out.requires_grad
+
+    def test_parallel_calls_keep_order_and_the_callers_grad_mode(self):
+        w = Tensor(np.arange(3.0), requires_grad=True)
+        calls = [lambda k=k: ((w * float(k)).sum(), numcore.is_grad_enabled())
+                 for k in (1, 2, 3)]
+        results = numcore.parallel_calls(calls)
+        assert [mode for _, mode in results] == [True] * 3
+        assert [float(out.data) for out, _ in results] == [3.0, 6.0, 9.0]
+        assert all(out.requires_grad for out, _ in results)
+        with no_grad():
+            assert numcore.parallel_calls(calls[:2])[1][1] is False
+
     def test_model_call_restores_blas_threads(self):
         from ddtlab.model import DDTModel, preset
         before = numcore.blas_threads()
@@ -365,6 +390,38 @@ class TestRowParallel:
         with no_grad():
             model.forward(x, 0.5, 1)
         assert numcore.blas_threads() == before
+
+
+class TestGradMode:
+    def test_no_grad_in_one_thread_leaves_another_building_graphs(self):
+        entered, done = threading.Event(), threading.Event()
+        modes = []
+
+        def inference():
+            with no_grad():
+                modes.append(numcore.is_grad_enabled())
+                entered.set()
+                done.wait(timeout=60)
+
+        other = threading.Thread(target=inference)
+        other.start()
+        try:
+            assert entered.wait(timeout=60)
+            rng = np.random.default_rng(126)
+            x = Tensor(rng.standard_normal((4, 3)))
+            w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+            b = Tensor(np.zeros(2), requires_grad=True)
+            loss = linear(x, w, b).sum()
+            assert numcore.is_grad_enabled()
+            assert loss.requires_grad
+            loss.backward()
+        finally:
+            done.set()
+            other.join(timeout=60)
+        assert modes == [False]
+        np.testing.assert_allclose(w.grad, np.repeat(x.data.sum(axis=0)[:, None], 2, axis=1),
+                                   rtol=1e-12)
+        assert np.array_equal(b.grad, np.full(2, 4.0))
 
 
 class TestFusedOps:

@@ -3,6 +3,8 @@ timestep statistics (against a normal-CDF oracle), alignment loss range,
 loss decomposition, determinism, frozen teacher, NaN handling."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ import ddtlab.train as train_mod
 from ddtlab.datasets import BandlimitedDataset, GaussianDataset, PointMassDataset, make_dataset
 from ddtlab.errors import NumericalError, UsageError
 from ddtlab.model import DDTModel, ModelConfig, preset
+from ddtlab import numcore
 from ddtlab.numcore import Tensor, dct_matrix, topological_order
 from ddtlab.rng import step_stream, substream
 from ddtlab.train import (
@@ -315,6 +318,144 @@ class TestTrainStep:
             assert np.array_equal(p.data, resumed.params[n].data), n
 
 
+def one_graph_step(model, optimizer, batch, alignment_weight=0.5):
+    """The training step before batches were split: one graph for the
+    whole batch, then Adam unless a gradient is non-finite."""
+    model.zero_grad()
+    loss_dec, loss_enc, total = loss_terms(model, batch, alignment_weight)
+    total.backward()
+    if all(p.grad is None or np.all(np.isfinite(p.grad))
+           for _, p in model.named_parameters()):
+        optimizer.step()
+    return loss_dec.item(), loss_enc.item(), total.item()
+
+
+def nudged_desk(seed: int) -> DDTModel:
+    """A desk model with its zero-initialised gates opened, so every
+    parameter gets a gradient."""
+    model = DDTModel(preset("desk"), seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, p in model.named_parameters():
+        p.data += 0.05 * rng.standard_normal(p.shape)
+    return model
+
+
+class TestSplitStep:
+    @pytest.mark.parametrize("rows", [24, 33])
+    def test_halves_match_one_graph(self, rows):
+        batch = make_batch(make_dataset("bandlimited"), preset("desk"),
+                           np.random.default_rng(21), rows)
+        ref = nudged_desk(3)
+        ref_losses = one_graph_step(ref, Adam(dict(ref.named_parameters())), batch)
+        model = nudged_desk(3)
+        report = train_step(model, Adam(dict(model.named_parameters())), batch)
+        assert train_mod.step_slices(rows) == 2
+        assert (model.nfe_encoder, model.nfe_decoder) == (2, 2)
+        got = (report.loss_dec, report.loss_enc, report.total)
+        for value, want in zip(got, ref_losses):
+            assert abs(value - want) <= 1e-12 * abs(want), (value, want)
+        squares = 0.0
+        for name, p in model.named_parameters():
+            want = ref.params[name].grad
+            squares += float(np.sum(want * want))
+            assert np.linalg.norm(p.grad - want) <= 1e-12 * np.linalg.norm(want), name
+        assert abs(report.grad_norm - math.sqrt(squares)) <= 1e-12 * math.sqrt(squares)
+        assert not report.skipped
+
+    @pytest.mark.parametrize("rows", [4, 23])
+    def test_small_batch_step_is_bit_identical_to_one_graph(self, rows):
+        cfg = preset("desk")
+        ds = make_dataset("bandlimited")
+        ref, model = nudged_desk(5), nudged_desk(5)
+        ref_opt = Adam(dict(ref.named_parameters()))
+        opt = Adam(dict(model.named_parameters()))
+        assert train_mod.step_slices(rows) == 1
+        for step in range(3):
+            batch = make_batch(ds, cfg, step_stream(9, "data", step), rows)
+            want = one_graph_step(ref, ref_opt, batch)
+            report = train_step(model, opt, batch)
+            assert (report.loss_dec, report.loss_enc, report.total) == want
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, ref.params[name].data), name
+            assert np.array_equal(p.grad, ref.params[name].grad), name
+
+    def test_a_raising_half_restores_blas_threads(self, monkeypatch):
+        before = numcore.blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS thread control in this process")
+        cfg = tiny_config()
+        model = DDTModel(cfg, seed=8)
+        opt = Adam(dict(model.named_parameters()))
+        batch = tiny_batch(np.random.default_rng(4), cfg, n=32)
+        honest = train_mod.loss_terms
+        for bad_t in (batch.t[0], batch.t[16]):  # the caller's half, then the worker's
+            seen = []
+
+            def failing(model_, batch_, w_, bad_t=bad_t):
+                seen.append(numcore.blas_threads())
+                if batch_.t[0] == bad_t:
+                    raise NumericalError("half failed")
+                return honest(model_, batch_, w_)
+
+            monkeypatch.setattr(train_mod, "loss_terms", failing)
+            with pytest.raises(NumericalError, match="half failed"):
+                train_step(model, opt, batch)
+            assert set(seen) == {1}
+            assert numcore.blas_threads() == before
+        assert opt.step_count == 0
+
+    def test_concurrent_trainers_match_a_lone_one(self):
+        # more trainers than cores, each splitting its steps, switching
+        # often: every model must end as a lone run does, and the BLAS
+        # thread count must be restored once all are done
+        cfg = tiny_config()
+        ds = make_dataset("bandlimited", cfg.image_size, cfg.channels, cfg.num_classes)
+        before = numcore.blas_threads()
+
+        def run(out):
+            model = DDTModel(cfg, seed=3)
+            train(model, ds, steps=4, batch_size=32, seed=7)
+            out.append({n: p.data.copy() for n, p in model.named_parameters()})
+
+        lone = []
+        run(lone)
+        results = [[] for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            trainers = [threading.Thread(target=run, args=(out,)) for out in results]
+            for th in trainers:
+                th.start()
+            for th in trainers:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in trainers)
+        for out in results:
+            assert len(out) == 1
+            for name, want in lone[0].items():
+                assert np.array_equal(out[0][name], want), name
+        assert numcore.blas_threads() == before
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowing_grad_norm_does_not_skip_a_finite_step(self, monkeypatch):
+        cfg = tiny_config()
+        model = DDTModel(cfg, seed=8)
+        opt = Adam(dict(model.named_parameters()))
+
+        def huge(model_, batch_, w_):
+            # every entry of the gradient is 1e200: finite, its square is not
+            p = model_.params["enc.embed.w"]
+            return Tensor(0.0), Tensor(0.0), (p * 1e100).sum() * 1e100
+
+        monkeypatch.setattr(train_mod, "loss_terms", huge)
+        report = train_step(model, opt, tiny_batch(np.random.default_rng(4), cfg))
+        assert np.all(model.params["enc.embed.w"].grad == 1e200)
+        assert report.grad_norm == math.inf
+        assert not report.skipped
+        assert opt.step_count == 1
+
+
 class TestBatchAssembly:
     def test_label_dropout_rate(self):
         cfg = tiny_config()
@@ -464,7 +605,7 @@ class TestConfigAndMetrics:
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, hist)
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,loss_dec,loss_enc,total,skipped"
+        assert lines[0] == "step,loss_dec,loss_enc,total,grad_norm,step_ms,skipped"
         assert lines[1].startswith("0,1.5,")
         assert len(lines) == 3
         assert not (tmp_path / "metrics.csv.tmp").exists()
