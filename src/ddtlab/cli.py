@@ -55,7 +55,6 @@ from .spectral import (
 from .train import (
     dataset_for,
     parse_train_config,
-    step_slices,
     train,
     write_metrics_csv,
     Adam,
@@ -96,9 +95,9 @@ def _load_model(path) -> tuple[DDTModel, dict[str, np.ndarray]]:
 
 def _environment(slices: int) -> dict:
     """What a run computed with: the CPUs it may use, the software, the
-    BLAS and its thread count, and the row slices each model call
-    (sample: numcore.row_parallel) or training step (train:
-    train.step_slices) was cut into."""
+    BLAS and its thread count, and the row slices (numcore.row_slices,
+    set by the batch size alone) each sampling field call or training
+    step was cut into."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # a numpy without the dict form
@@ -190,7 +189,7 @@ def cmd_train(args) -> int:
                      "batch": config.batch, "dataset": config.dataset,
                      "alignment_weight": config.alignment_weight,
                      "lr": config.lr, "start_step": start_step},
-                    _environment(step_slices(config.batch)))
+                    _environment(row_slices(config.batch)))
     last = history[-1]
     print(f"trained {config.steps - start_step} steps; "
           f"loss_dec {last.loss_dec:.4f} loss_enc {last.loss_enc:.4f}")
@@ -252,7 +251,7 @@ def cmd_sample(args) -> int:
                                                 size=args.num)
 
     model.reset_counters()
-    # every model call of the run is at batch args.num
+    # every field call of the run is at batch args.num
     environment = _environment(row_slices(args.num))
     samples = sample_with_sharing(model, x0, grid, plan, y,
                                   guidance=guidance, solver=args.solver)

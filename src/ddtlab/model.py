@@ -33,7 +33,6 @@ from .numcore import (
     linear,
     modulate,
     rms_norm,
-    row_parallel,
     self_attention,
     silu,
     swiglu,
@@ -362,12 +361,8 @@ class DDTModel:
     Weights live in `params` (name -> Tensor, requires_grad). The frozen
     teacher lives in `teacher` (name -> ndarray) and never enters any
     gradient computation. nfe_encoder / nfe_decoder count forward calls,
-    one per batched invocation.
-
-    encode and decode check their inputs and embed the tokens on the whole
-    batch, then run the stack (_encode_rows / _decode_rows) through
-    numcore.row_parallel: under no_grad a large batch runs as row slices
-    on parallel threads, bit-identical to one call.
+    one per batched invocation; a call whose batch ran as row slices on
+    views (with_new_leaves) counts once (add_slice_counts).
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -438,6 +433,12 @@ class DDTModel:
                        for name, p in self.params.items()}
         view.reset_counters()
         return view
+
+    def add_slice_counts(self, views) -> None:
+        """Count a call that ran as row slices on `views` once: every slice
+        makes the same calls, so slice 0's counts are the call's."""
+        self.nfe_encoder += views[0].nfe_encoder
+        self.nfe_decoder += views[0].nfe_decoder
 
     def reset_counters(self) -> None:
         self.nfe_encoder = 0
@@ -510,15 +511,6 @@ class DDTModel:
                                 (batch,)).copy()
         if np.any(y_vec < 0) or np.any(y_vec > cfg.null_class):
             raise ValueError(f"class index out of range [0, {cfg.null_class}]")
-        z, h_align = row_parallel(self._encode_rows, tok, t_vec, y_vec)
-        self.nfe_encoder += 1
-        return ConditionBundle(z_t=z), h_align
-
-    def _encode_rows(self, tok: Tensor, t_vec: np.ndarray,
-                     y_vec: np.ndarray) -> tuple[Tensor, Tensor]:
-        """The encoder stack on checked inputs: (z, alignment tokens)."""
-        cfg = self.config
-        batch = tok.shape[0]
         t_emb = self._timestep_embedding(t_vec)
         y_emb = self._label_embedding(y_vec)
         # activated once for every block, and [B, 1, D] so that each
@@ -530,7 +522,9 @@ class DDTModel:
             h = self._block(h, cond, f"enc.b{i}")
             if i + 1 == cfg.alignment_layer:
                 h_align = h
-        return rms_norm(h), h_align
+        z = rms_norm(h)
+        self.nfe_encoder += 1
+        return ConditionBundle(z_t=z), h_align
 
     def decode(self, x_t, t, bundle: ConditionBundle) -> Tensor:
         """v_t = Decoder(x_t, t, z_t). No class label enters here; the
@@ -548,12 +542,14 @@ class DDTModel:
                                 (batch,)).copy()
         if np.any(t_vec < 0.0) or np.any(t_vec > 1.0):
             raise ValueError("t must lie in [0,1]")
-        h = row_parallel(self._decode_rows, tok, z, t_vec)
-        # On the whole batch: the patch_dim-wide product is small enough
-        # that OpenBLAS (x86-64, 0.3.31) picks its small-matrix kernel once
-        # M*N*K <= 1e6, and that kernel rounds differently. Desk slices of
-        # 122-244 rows fall under the cutoff while their whole batch of
-        # 245-489 does not.
+        t_emb = self._timestep_embedding(t_vec)
+        cond = silu(z + t_emb.reshape(batch, 1, cfg.hidden_dim))
+        h = tok
+        for i in range(cfg.decoder_layers):
+            h = self._block(h, cond, f"dec.b{i}")
+        m = self._linear(cond, "final.mod")
+        shift, scale = m.chunk(2, axis=-1)
+        h = modulate(rms_norm(h), shift, scale)
         out = self._linear(h, "final.proj")
         v = unpatchify(out, cfg.patch_size, cfg.channels)
         self.nfe_decoder += 1
@@ -562,19 +558,6 @@ class DDTModel:
                 v = v.reshape(*v.shape[1:])
             return v
         return v.reshape(*v.shape[1:]) if np.ndim(x_t) == 3 else v
-
-    def _decode_rows(self, tok: Tensor, z: Tensor, t_vec: np.ndarray) -> Tensor:
-        """The decoder stack on checked inputs, up to the output
-        projection: the modulated final tokens."""
-        cfg = self.config
-        t_emb = self._timestep_embedding(t_vec)
-        cond = silu(z + t_emb.reshape(tok.shape[0], 1, cfg.hidden_dim))
-        h = tok
-        for i in range(cfg.decoder_layers):
-            h = self._block(h, cond, f"dec.b{i}")
-        m = self._linear(cond, "final.mod")
-        shift, scale = m.chunk(2, axis=-1)
-        return modulate(rms_norm(h), shift, scale)
 
     def forward(self, x_t, t, y) -> Tensor:
         bundle, _ = self.encode(x_t, t, y)

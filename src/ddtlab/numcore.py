@@ -34,10 +34,11 @@ forward pass under no_grad is bit-identical to the composed one.
 Independent calls run side by side through ``parallel_calls``, with BLAS
 held at one thread meanwhile. Most of a block's time is single-threaded
 elementwise numpy work, so this puts the cores BLAS was allowed to every
-part of the work, not just the GEMMs. Inference uses it through
-``row_parallel``, which runs a no_grad forward whose rows are independent
-as contiguous row slices, one per OpenBLAS thread (``row_slices``);
-training runs the two halves of a batch through it (train.train_step).
+part of the work, not just the GEMMs. Its two callers cut a batch into
+``row_slices(rows)`` contiguous slices, a count set by the batch size
+alone, and run each slice on its own model view: a sampling field call
+(samplers.model_velocity_field) and a training step (train.train_step).
+The model itself knows nothing about threads.
 
 Also home to the orthonormal type-II DCT basis used across the package
 (spectral.dct2 applies it along both image axes as two matrix products,
@@ -51,7 +52,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,8 +63,8 @@ __all__ = [
     "is_grad_enabled",
     "blas_threads",
     "row_slices",
+    "slice_edges",
     "parallel_calls",
-    "row_parallel",
     "linear",
     "rms_norm",
     "modulate",
@@ -100,20 +101,35 @@ def is_grad_enabled() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# parallel regions: row-parallel inference and split training steps
+# parallel regions: row slices of sampling field calls and training steps
 # ---------------------------------------------------------------------------
 
-# Fewest rows a slice may hold. Encode plus decode of the desk preset
-# under no_grad, 2 CPUs (Intel Xeon), OpenBLAS 0.3.31, median of 20:
-# 32 rows took 22-24 ms in two slices of 16 against 39-40 ms unsplit,
-# 64 rows 37 ms against 61-67 ms. Two slices of 8 rows were faster too
-# (14 against 19-20 ms at 16 rows), but a slice's GEMMs then near the
-# size below which OpenBLAS switches to a small-matrix kernel that
-# rounds differently (M*N*K <= 1e6 on x86-64): desk slices of 4 rows
-# already change the last bits. 16 rows keep the token GEMMs of the desk
-# stacks above that size (DDTModel.decode runs the narrow output
-# projection on the whole batch), so the split stays bit-identical.
-MIN_SLICE_ROWS = 16
+# A batch of at least this many rows runs as two row slices (row_slices).
+# Desk training steps, 2 CPUs (Intel Xeon), OpenBLAS 0.3.31, median of 48,
+# one graph against two halves: 8 rows 14.3 against 16.7 ms, 16 rows 21.8
+# against 21.4 ms, 24 rows 32.1 against 25.1 ms, 32 rows 42.9 against
+# 30.7 ms. With OPENBLAS_NUM_THREADS=1, where the halves run one after
+# the other (median of 27): 8 rows 13.6 against 15.7 ms, 16 rows 23.3
+# against 24.2 ms, 24 rows 35.6 against 32.2 ms. From 24 rows the halves
+# are faster on either thread count; at 16 they gain nothing. Encode plus
+# decode under no_grad, median of 20: 32 rows took 22-24 ms in two slices
+# against 39-40 ms unsplit, 64 rows 37 ms against 61-67 ms.
+SPLIT_MIN_ROWS = 24
+
+
+def row_slices(rows: int) -> int:
+    """How many contiguous row slices a batch of `rows` rows runs as: two
+    from SPLIT_MIN_ROWS up, else one. The batch size alone decides, so
+    results do not depend on the CPUs or the BLAS threads."""
+    return 2 if rows >= SPLIT_MIN_ROWS else 1
+
+
+def slice_edges(rows: int) -> list[int]:
+    """The row bounds of the row_slices(rows) slices: rows // 2 rows and
+    then the rest for two slices."""
+    n = row_slices(rows)
+    return [rows * i // n for i in range(n + 1)]
+
 
 # (getter, setter) symbol pairs that OpenBLAS builds export
 _BLAS_SYMBOLS = (
@@ -154,15 +170,6 @@ def blas_threads() -> int | None:
     return None if controls is None else int(controls[0]())
 
 
-def row_slices(rows: int) -> int:
-    """How many slices `row_parallel` splits `rows` rows into now: one
-    per BLAS thread, each at least MIN_SLICE_ROWS rows."""
-    threads = blas_threads()
-    if threads is None:
-        return 1
-    return max(1, min(threads, rows // MIN_SLICE_ROWS))
-
-
 _ROW_LOCK = threading.Lock()
 _row_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool)
 
@@ -186,16 +193,6 @@ def _forget_pool_in_child() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_in_child)
-
-
-def _rows(a, lo: int, hi: int):
-    return Tensor(a.data[lo:hi]) if isinstance(a, Tensor) else a[lo:hi]
-
-
-def _concat(parts: list):
-    if isinstance(parts[0], tuple):
-        return tuple(_concat(column) for column in zip(*parts))
-    return Tensor(np.concatenate([p.data for p in parts]))
 
 
 def parallel_calls(calls: Sequence[Callable[[], object]]) -> list:
@@ -229,27 +226,6 @@ def parallel_calls(calls: Sequence[Callable[[], object]]) -> list:
             wait(futures)
             controls[1](before)
     return results
-
-
-def row_parallel(fn: Callable, *args):
-    """fn(*args) for a fn whose output rows depend only on the same rows
-    of its inputs: every arg is a Tensor or array with the rows on axis
-    0, and fn returns a Tensor or a tuple of Tensors.
-
-    Under no_grad, with `row_slices` > 1, the rows are cut into that many
-    contiguous slices that run through `parallel_calls`, and the slices'
-    results are joined in order. Each row goes through the same
-    operations as in one call, so the result is bit-identical. With
-    gradients enabled, or too few rows or BLAS threads to split, fn runs
-    once on the caller's thread.
-    """
-    rows = args[0].shape[0]
-    slices = 1 if _GRAD_ENABLED.get() else row_slices(rows)
-    if slices == 1:
-        return fn(*args)
-    bounds = [rows * i // slices for i in range(slices + 1)]
-    parts = [[_rows(a, lo, hi) for a in args] for lo, hi in zip(bounds, bounds[1:])]
-    return _concat(parallel_calls([partial(fn, *part) for part in parts]))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

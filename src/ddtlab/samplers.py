@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError
-from .numcore import no_grad
+from .numcore import no_grad, parallel_calls, slice_edges
 
 __all__ = [
     "LinearSchedule",
@@ -118,20 +119,14 @@ def _check_finite(x, step: int, t: float) -> None:
 
 
 class TrajectoryRecorder:
-    """Collects (step, t, ||x||, ||v||) rows; optionally dumps the raw
-    state per step for offline spectrum plots."""
+    """Collects (step, t, ||x||, ||v||) rows."""
 
-    def __init__(self, raw_dir=None):
+    def __init__(self):
         self.rows: list[tuple[int, float, float, float]] = []
-        self.raw_dir = raw_dir
-        if raw_dir is not None:
-            os.makedirs(raw_dir, exist_ok=True)
 
     def record(self, step: int, t: float, x: np.ndarray, v: np.ndarray) -> None:
         self.rows.append((step, float(t), float(np.linalg.norm(x)),
                           float(np.linalg.norm(v))))
-        if self.raw_dir is not None:
-            np.save(os.path.join(self.raw_dir, f"x_{step:04d}.npy"), x)
 
     def write_csv(self, path) -> None:
         tmp = f"{path}.tmp"
@@ -244,32 +239,53 @@ def velocity_to_score(v, x_t, t: float) -> np.ndarray:
 
 def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
                          anchor_times=None, on_encode=None):
-    """Wrap a model as a sampler-compatible field (x, t) -> v.
+    """Wrap a model as a sampler-compatible field (x, t) -> v on a batch x
+    of [B, C, H, W] with labels y (length B, or 1 for all rows).
 
     With guidance, the conditional and the null-class branch both run and
     are combined; without it only the conditional branch runs. The encoder
     runs at every call when anchor_times is None; otherwise only when t is
     one of anchor_times, and the calls in between reuse the last z of each
     branch, so full sampling is the plan whose every step is an anchor.
-    on_encode(z) receives the conditional z_t each time the encoder runs."""
+    on_encode(z) receives the conditional z_t each time the encoder runs.
+
+    Each call cuts x and y into numcore.row_slices(B) contiguous row
+    slices. A slice runs its encodes, decodes and guidance branch on its
+    own model view (with_new_leaves) with its own z, all slices in one
+    numcore.parallel_calls region. v and the z given to on_encode are
+    joined in slice order, and the call counts once on the model's NFE
+    counters. The slices depend on B alone, so v does not depend on the
+    thread count."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     null = model.config.null_class
-    bundles = {}
+    held: list[dict] = []  # per slice, the z bundle of each branch
+
+    def run_slice(view, x, t, y_rows, bundles, encode):
+        if encode:
+            bundles["c"], _ = view.encode(x, t, y_rows)
+            if guidance is not None:
+                bundles["u"], _ = view.encode(x, t, np.full_like(y_rows, null))
+        v = view.decode(x, t, bundles["c"]).data
+        if guidance is not None:
+            v = guided_velocity(v, view.decode(x, t, bundles["u"]).data, guidance, t)
+        return v
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
+        encode = anchor_times is None or float(t) in anchor_times
+        edges = slice_edges(len(x))
+        if encode:
+            held[:] = [{} for _ in edges[1:]]
+        y_rows = np.broadcast_to(y, (len(x),))
+        views = [model.with_new_leaves() for _ in held]
         with no_grad():
-            if anchor_times is None or float(t) in anchor_times:
-                bundles["c"], _ = model.encode(x, t, y)
-                if on_encode is not None:
-                    on_encode(bundles["c"].z_t.data)
-                if guidance is not None:
-                    bundles["u"], _ = model.encode(x, t, np.full_like(y, null))
-            v = model.decode(x, t, bundles["c"]).data
-            if guidance is not None:
-                v_u = model.decode(x, t, bundles["u"]).data
-                v = guided_velocity(v, v_u, guidance, t)
+            vs = parallel_calls([
+                partial(run_slice, view, x[lo:hi], t, y_rows[lo:hi], bundles, encode)
+                for view, bundles, lo, hi in zip(views, held, edges, edges[1:])])
+        model.add_slice_counts(views)
+        if encode and on_encode is not None:
+            on_encode(np.concatenate([bundles["c"].z_t.data for bundles in held]))
         if anchor_times is None:
-            bundles.clear()  # no call reuses z, so none is held between calls
-        return v
+            held.clear()  # no call reuses z, so none is held between calls
+        return np.concatenate(vs)
 
     return field

@@ -22,7 +22,7 @@ import numpy as np
 from .datasets import DATASETS, make_dataset
 from .errors import NumericalError, UsageError
 from .model import PRESETS, DDTModel
-from .numcore import Tensor, parallel_calls
+from .numcore import Tensor, parallel_calls, slice_edges
 from .rng import step_stream
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "flow_matching_loss",
     "Adam",
     "train_step",
-    "step_slices",
     "make_batch",
     "train",
     "parse_train_config",
@@ -204,24 +203,6 @@ class Adam:
             self.step_count = int(round(float(np.ravel(arrays["opt.step"])[0])))
 
 
-# A batch of at least this many rows trains as two halves (train_step).
-# Desk steps, 2 CPUs (Intel Xeon), OpenBLAS 0.3.31, median of 48, one
-# graph against two halves: 8 rows 14.3 against 16.7 ms, 16 rows 21.8
-# against 21.4 ms, 24 rows 32.1 against 25.1 ms, 32 rows 42.9 against
-# 30.7 ms. With OPENBLAS_NUM_THREADS=1, where the halves run one after
-# the other (median of 27): 8 rows 13.6 against 15.7 ms, 16 rows 23.3
-# against 24.2 ms, 24 rows 35.6 against 32.2 ms. From 24 rows the halves
-# are faster on either thread count; at 16 they gain nothing.
-SPLIT_MIN_ROWS = 24
-
-
-def step_slices(rows: int) -> int:
-    """How many row slices train_step cuts a batch of `rows` rows into:
-    two from SPLIT_MIN_ROWS up, else one. The batch size alone decides,
-    so a seed trains the same weights whatever the CPUs and BLAS threads."""
-    return 2 if rows >= SPLIT_MIN_ROWS else 1
-
-
 def _slice_step(model: DDTModel, batch: TrainBatch, alignment_weight: float,
                 share: float) -> tuple[tuple[float, float, float], DDTModel]:
     """loss_terms and backward for one slice of a batch on fresh parameter
@@ -246,14 +227,15 @@ def train_step(model: DDTModel, optimizer: Adam, batch: TrainBatch,
                alignment_weight: float = 0.5) -> LossReport:
     """One gradient step; the frozen teacher is untouched by construction.
 
-    The batch runs as step_slices(rows) contiguous row slices (two halves,
-    rows // 2 and then the rest, from SPLIT_MIN_ROWS up; else the whole
-    batch) through numcore.parallel_calls. Each slice builds and
-    differentiates its own graph on its own parameter leaves, with its
-    total scaled by its share of the rows. The model's grad is then the
-    slices' grads added in slice order, and the reported losses are the
-    same weighted sums. One slice has share 1.0, which scales exactly, so
-    a batch under SPLIT_MIN_ROWS trains as one plain graph, bit for bit.
+    The batch runs as numcore.row_slices(rows) contiguous row slices (two
+    halves, rows // 2 and then the rest, from numcore.SPLIT_MIN_ROWS up;
+    else the whole batch) through numcore.parallel_calls. Each slice
+    builds and differentiates its own graph on its own parameter leaves,
+    with its total scaled by its share of the rows. The model's grad is
+    then the slices' grads added in slice order, and the reported losses
+    are the same weighted sums. The NFE counters count the step once. One
+    slice has share 1.0, which scales exactly, so a batch under
+    SPLIT_MIN_ROWS trains as one plain graph, bit for bit.
 
     Non-finite gradients skip the update and flag the report. grad_norm
     is the gradient's L2 norm; it may overflow to inf on a finite
@@ -261,8 +243,7 @@ def train_step(model: DDTModel, optimizer: Adam, batch: TrainBatch,
     """
     model.zero_grad()
     rows = batch.x_data.shape[0]
-    n = step_slices(rows)
-    edges = [rows * i // n for i in range(n + 1)]
+    edges = slice_edges(rows)
     results = parallel_calls([
         partial(_slice_step, model, _batch_rows(batch, lo, hi), alignment_weight,
                 (hi - lo) / rows)
@@ -270,8 +251,7 @@ def train_step(model: DDTModel, optimizer: Adam, batch: TrainBatch,
     losses, views = zip(*results)
     for name, p in model.named_parameters():
         p.grad = reduce(_sum_grads, (view.params[name].grad for view in views))
-    model.nfe_encoder += sum(view.nfe_encoder for view in views)
-    model.nfe_decoder += sum(view.nfe_decoder for view in views)
+    model.add_slice_counts(views)
     losses = [reduce(operator.add, terms) for terms in zip(*losses)]
     report = LossReport(*losses, alignment_weight=float(alignment_weight))
     squares = 0.0

@@ -220,32 +220,33 @@ def _cli_in_subprocess(args: list[str], thread_env: dict) -> None:
                    capture_output=True)
 
 
-def _sample_in_subprocess(ckpt, out, thread_env: dict) -> None:
+def _sample_in_subprocess(ckpt, out, thread_env: dict, *extra: str) -> None:
     _cli_in_subprocess(["sample", "--checkpoint", str(ckpt), "--steps", "3",
                         "--num", "32", "--cfg-w", "1.5", "--seed", "4",
-                        "--out", str(out)], thread_env)
+                        "--out", str(out), *extra], thread_env)
 
 
 def test_sample_row_slices_match_one_blas_thread(tmp_path):
-    """A desk model sampled with its batch in row slices (the default BLAS
-    threads) and unsplit (one BLAS thread) gives the same bytes."""
+    """A desk model sampled with its batch in row slices side by side (the
+    default BLAS threads) and one after the other (one BLAS thread) gives
+    the same bytes, with z reused across steps (--share-ratio) or not."""
     model = DDTModel(preset("desk"), seed=0)
     rng = np.random.default_rng(5)
     for _, p in model.named_parameters():
         p.data = p.data + 0.05 * rng.standard_normal(p.data.shape)
     ckpt = tmp_path / "desk.ckpt"
     save_checkpoint(ckpt, model.config, model.state_arrays())
-    one, default = tmp_path / "one", tmp_path / "default"
-    _sample_in_subprocess(ckpt, one, {"OPENBLAS_NUM_THREADS": "1"})
-    _sample_in_subprocess(ckpt, default, {})
-    assert sha256(one / "samples.npy") == sha256(default / "samples.npy")
-    reports = [json.loads((d / "eval.json").read_text()) for d in (one, default)]
-    assert [(r["nfe_encoder"], r["nfe_decoder"]) for r in reports] == [(6, 6)] * 2
-    envs = [json.loads((d / "manifest.json").read_text())["environment"]
-            for d in (one, default)]
-    assert envs[0]["row_slices"] == 1
-    threads = envs[1]["blas"]["threads"]
-    assert envs[1]["row_slices"] == (1 if threads is None else min(threads, 2))
+    for extra, encodes in (((), 6), (("--share-ratio", "0.5"), 4)):
+        one, default = tmp_path / f"one{len(extra)}", tmp_path / f"default{len(extra)}"
+        _sample_in_subprocess(ckpt, one, {"OPENBLAS_NUM_THREADS": "1"}, *extra)
+        _sample_in_subprocess(ckpt, default, {}, *extra)
+        assert sha256(one / "samples.npy") == sha256(default / "samples.npy")
+        reports = [json.loads((d / "eval.json").read_text()) for d in (one, default)]
+        assert [(r["nfe_encoder"], r["nfe_decoder"]) for r in reports] == [(encodes, 6)] * 2
+        envs = [json.loads((d / "manifest.json").read_text())["environment"]
+                for d in (one, default)]
+        assert [env["row_slices"] for env in envs] == [2, 2]
+        assert envs[0]["blas"]["threads"] in (1, None)
 
 
 def test_train_split_step_matches_one_blas_thread(tmp_path):

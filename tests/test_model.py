@@ -23,7 +23,6 @@ from ddtlab.model import (
     save_checkpoint,
     unpatchify,
 )
-from ddtlab import numcore
 from ddtlab.model import _rope_tables
 from ddtlab.numcore import Tensor, no_grad
 from test_numcore import composed_attention
@@ -268,40 +267,25 @@ class TestEncoderDecoder:
         assert h_align.shape == (1, (cfg.image_size // cfg.patch_size) ** 2,
                                  cfg.hidden_dim)
 
-    def test_no_grad_forward_matches_composition(self, monkeypatch):
-        # desk sizes at the sampling batch of 64 with the slices the BLAS
-        # threads give, then batches forced into row slices (numcore
-        # row_parallel): even, uneven, and 256 rows, whose slices of 128
-        # would put the narrow output projection under OpenBLAS's
-        # small-matrix cutoff while the whole batch is over it
+    def test_no_grad_forward_matches_composition(self):
+        # desk sizes at the sampling batch of 64, at a row slice of it, at
+        # an uneven batch, and at 256 rows, whose narrow output projection
+        # is over OpenBLAS's small-matrix cutoff while 64 rows are under it
         model = DDTModel(preset("desk"), seed=6)
         rng = np.random.default_rng(12)
         for _, prm in model.named_parameters():
             prm.data += 0.05 * rng.standard_normal(prm.shape)
         assert np.any(model.params["enc.b0.attn_mod.w"].data != 0.0)
-        seen = []
-        encode_rows = model._encode_rows
-
-        def counted_encode_rows(tok, *rest):
-            seen.append(len(tok.data))
-            return encode_rows(tok, *rest)
-
-        model._encode_rows = counted_encode_rows
-        for rows, slices in ((64, None), (32, 2), (48, 3), (256, 2)):
-            if slices is not None:
-                monkeypatch.setattr(numcore, "row_slices", lambda n, k=slices: k)
+        for rows in (64, 32, 47, 256):
             x = rng.standard_normal((rows, 1, 8, 8))
             t = rng.uniform(0.0, 1.0, rows)
             y = rng.integers(0, 5, rows)
-            seen.clear()
             with no_grad():
                 bundle, _ = model.encode(x, t, y)
                 v = model.decode(x, t, bundle)
-            if slices is not None:
-                assert seen == [rows // slices] * slices
             z_ref, v_ref = composed_forward(model, x, t, y)
-            assert np.array_equal(bundle.z_t.data, z_ref), (rows, slices)
-            assert np.array_equal(v.data, v_ref), (rows, slices)
+            assert np.array_equal(bundle.z_t.data, z_ref), rows
+            assert np.array_equal(v.data, v_ref), rows
 
     def test_nfe_counters(self):
         model = DDTModel(tiny_config(), seed=0)

@@ -28,7 +28,6 @@ from ddtlab.numcore import (
     modulate,
     no_grad,
     rms_norm,
-    row_parallel,
     self_attention,
     silu,
     swiglu,
@@ -264,112 +263,76 @@ class TestAutodiff:
 
 
 class TestRowParallel:
-    def test_slices_join_in_order(self, monkeypatch):
-        monkeypatch.setattr(numcore, "row_slices", lambda rows: 3)
-        a, b = np.arange(14.0).reshape(7, 2), Tensor(np.arange(7.0))
-        seen = []
+    """numcore.parallel_calls, the one region that the row slices of a
+    field call or a training step run in."""
 
-        def fn(a_, b_):
-            seen.append(len(a_))
-            return Tensor(a_ * 2.0), Tensor(b_.data + 1.0)
-
-        with no_grad():
-            doubled, shifted = row_parallel(fn, a, b)
-        assert sorted(seen) == [2, 2, 3]
-        assert np.array_equal(doubled.data, a * 2.0)
-        assert np.array_equal(shifted.data, np.arange(7.0) + 1.0)
-
-    def test_grad_path_runs_once_on_the_whole_batch(self, monkeypatch):
-        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
-        x = Tensor(np.ones((4, 3)), requires_grad=True)
-        seen = []
-
-        def fn(x_):
-            seen.append(x_)
-            return x_ * 2.0
-
-        row_parallel(fn, x).sum().backward()
-        assert seen == [x]
-        assert np.array_equal(x.grad, np.full((4, 3), 2.0))
-
-    def test_blas_threads_restored_also_when_a_slice_raises(self, monkeypatch):
+    def test_blas_threads_restored_also_when_a_slice_raises(self):
         before = numcore.blas_threads()
         if before is None:
             pytest.skip("no OpenBLAS thread control in this process")
-        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
         inside = []
 
-        def fn(a):
+        def call():
             inside.append(numcore.blas_threads())
-            return Tensor(a)
 
-        with no_grad():
-            row_parallel(fn, np.arange(4.0))
-        assert inside == [1, 1]
+        numcore.parallel_calls([call, call])
+        assert inside == ([1, 1] if before > 1 else [before, before])
         assert numcore.blas_threads() == before
-        for bad_row in (0.0, 2.0):  # the caller's slice, then a worker's
+        for bad in (0, 1):  # the caller's call, then a worker's
 
-            def failing(a, bad_row=bad_row):
-                if a[0] == bad_row:
+            def failing(k, bad=bad):
+                if k == bad:
                     raise RuntimeError("slice failed")
-                return Tensor(a)
+                return k
 
-            with no_grad(), pytest.raises(RuntimeError, match="slice failed"):
-                row_parallel(failing, np.arange(4.0))
+            with pytest.raises(RuntimeError, match="slice failed"):
+                numcore.parallel_calls([lambda: failing(0), lambda: failing(1)])
             assert numcore.blas_threads() == before
 
-    def test_workers_run_under_the_callers_errstate(self, monkeypatch):
-        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
+    def test_workers_run_under_the_callers_errstate(self):
+        big = np.array([0.0, 0.0, 1e4, 1e4])  # overflows in the second call only
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            numcore.parallel_calls([lambda: np.exp(big[:2]), lambda: np.exp(big[2:])])
 
-        def fn(a):
-            return Tensor(np.exp(a))
-
-        big = np.array([0.0, 0.0, 1e4, 1e4])  # overflows in the second slice only
-        with no_grad(), np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            row_parallel(fn, big)
-
-    def test_concurrent_callers_serialise(self, monkeypatch):
+    def test_concurrent_callers_serialise(self):
         # more callers than cores, switching often: every result must be
         # whole and the BLAS thread count restored once all are done
         before = numcore.blas_threads()
-        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
         wrong = []
 
         def caller(k):
             for _ in range(40):
                 a = np.arange(8.0) + k
-                out = row_parallel(lambda x: Tensor(x * 2.0), a)
-                if not np.array_equal(out.data, a * 2.0):
+                halves = numcore.parallel_calls([lambda: a[:4] * 2.0, lambda: a[4:] * 2.0])
+                if not np.array_equal(np.concatenate(halves), a * 2.0):
                     wrong.append(k)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with no_grad():
-                callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
-                for th in callers:
-                    th.start()
-                for th in callers:
-                    th.join(timeout=60)
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for th in callers:
+                th.start()
+            for th in callers:
+                th.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in callers)
         assert wrong == []
         assert numcore.blas_threads() == before
 
-    def test_slice_workers_build_no_graph(self, monkeypatch):
-        monkeypatch.setattr(numcore, "row_slices", lambda rows: 2)
+    def test_slice_workers_build_no_graph(self):
         x = Tensor(np.ones((4, 3)), requires_grad=True)
         modes = []
 
-        def fn(x_):
+        def call():
             modes.append(numcore.is_grad_enabled())
-            return x_ * 2.0
+            return x * 2.0
 
         with no_grad():
-            out = row_parallel(fn, x)
+            outs = numcore.parallel_calls([call, call])
         assert modes == [False, False]
-        assert not out.requires_grad
+        assert not any(out.requires_grad for out in outs)
 
     def test_parallel_calls_keep_order_and_the_callers_grad_mode(self):
         w = Tensor(np.arange(3.0), requires_grad=True)
@@ -384,11 +347,11 @@ class TestRowParallel:
 
     def test_model_call_restores_blas_threads(self):
         from ddtlab.model import DDTModel, preset
+        from ddtlab.samplers import model_velocity_field
         before = numcore.blas_threads()
         model = DDTModel(preset("desk"), seed=0)
         x = np.random.default_rng(3).standard_normal((64, 1, 8, 8))
-        with no_grad():
-            model.forward(x, 0.5, 1)
+        model_velocity_field(model, 1)(x, 0.5)
         assert numcore.blas_threads() == before
 
 
@@ -585,11 +548,18 @@ class TestDCT:
 class ScriptedEncoder:
     """Model stand-in for probe_similarity: the encoder returns the next
     of the given per-step features z[i] ([P, D], one row per probe) and the
-    decoder returns zero velocity."""
+    decoder returns zero velocity. A probe batch runs as one row slice,
+    on the stand-in itself."""
 
     def __init__(self, z):
         self.z = iter(z)
         self.config = SimpleNamespace(null_class=0)
+
+    def with_new_leaves(self):
+        return self
+
+    def add_slice_counts(self, views):
+        pass
 
     def encode(self, x, t, y):
         return ConditionBundle(z_t=Tensor(next(self.z))), None

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddtlab import numcore, samplers
 from ddtlab.errors import NumericalError
 from ddtlab.model import DDTModel, ModelConfig
 from ddtlab.samplers import (
@@ -352,9 +353,80 @@ class TestModelField:
         assert np.array_equal(a, b)
 
 
+class TestSlicedField:
+    """A field call cuts its batch into numcore.row_slices(B) row slices
+    (two from 24 rows), each on its own model view and z."""
+
+    _model = TestModelField._model
+
+    @pytest.mark.parametrize("guided", [False, True])
+    @pytest.mark.parametrize("labels", ["per-row", "one"])
+    def test_call_equals_its_halves_alone(self, guided, labels):
+        model = self._model()
+        rows = 33
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((rows, 1, 4, 4))
+        y = rng.integers(0, 3, rows) if labels == "per-row" else np.array([2])
+        y_rows = np.broadcast_to(y, (rows,))
+        spec = GuidanceSpec(w=1.5) if guided else None
+        assert numcore.row_slices(rows) == 2
+        zs = []
+        v = model_velocity_field(model, y, spec, on_encode=zs.append)(x, 0.5)
+        parts = []
+        for lo, hi in ((0, rows // 2), (rows // 2, rows)):
+            assert numcore.row_slices(hi - lo) == 1
+            part_z = []
+            part_v = model_velocity_field(model, y_rows[lo:hi], spec,
+                                          on_encode=part_z.append)(x[lo:hi], 0.5)
+            parts.append((part_v, part_z[0]))
+        assert np.array_equal(v, np.concatenate([p[0] for p in parts]))
+        assert len(zs) == 1
+        assert np.array_equal(zs[0], np.concatenate([p[1] for p in parts]))
+        branches = 2 if guided else 1
+        assert (model.nfe_encoder, model.nfe_decoder) == (3 * branches, 3 * branches)
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_reused_field_matches_fresh_fields(self, guided):
+        model = self._model()
+        grid = make_timegrid(6, 1.0)
+        anchors = {float(grid.nodes[i]) for i in (0, 3, 4)}
+        spec = GuidanceSpec(w=1.5) if guided else None
+        rng = np.random.default_rng(9)
+        x_big, x_small = rng.standard_normal((32, 1, 4, 4)), rng.standard_normal((8, 1, 4, 4))
+        reused_z = []
+        reused = model_velocity_field(model, [1], spec, anchor_times=anchors,
+                                      on_encode=reused_z.append)
+        for x0 in (x_big, x_small):
+            reused_z.clear()
+            fresh_z = []
+            fresh = model_velocity_field(model, [1], spec, anchor_times=anchors,
+                                         on_encode=fresh_z.append)
+            assert np.array_equal(euler_sample(reused, x0, grid),
+                                  euler_sample(fresh, x0, grid))
+            assert len(reused_z) == len(fresh_z) == 3
+            for got, want in zip(reused_z, fresh_z):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("guided", [False, True])
+    def test_one_parallel_region_per_step(self, guided, monkeypatch):
+        regions = []
+        honest = samplers.parallel_calls
+
+        def counted(calls):
+            regions.append(len(calls))
+            return honest(calls)
+
+        monkeypatch.setattr(samplers, "parallel_calls", counted)
+        model = self._model()
+        spec = GuidanceSpec(w=1.5) if guided else None
+        x0 = np.random.default_rng(10).standard_normal((32, 1, 4, 4))
+        euler_sample(model_velocity_field(model, [0], spec), x0, make_timegrid(5, 1.0))
+        assert regions == [2] * 5
+
+
 class TestRecorder:
-    def test_csv_and_raw_dump(self, tmp_path):
-        rec = TrajectoryRecorder(raw_dir=tmp_path / "raw")
+    def test_csv_rows(self, tmp_path):
+        rec = TrajectoryRecorder()
         grid = make_timegrid(4, 1.0)
         euler_sample(lambda x, t: -x, np.ones(3), grid, recorder=rec)
         csv_path = tmp_path / "traj.csv"
@@ -362,6 +434,3 @@ class TestRecorder:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "step,t,norm_x,norm_v"
         assert len(lines) == 5
-        raws = sorted((tmp_path / "raw").glob("x_*.npy"))
-        assert len(raws) == 4
-        assert np.load(raws[0]).shape == (3,)

@@ -349,8 +349,8 @@ class TestSplitStep:
         ref_losses = one_graph_step(ref, Adam(dict(ref.named_parameters())), batch)
         model = nudged_desk(3)
         report = train_step(model, Adam(dict(model.named_parameters())), batch)
-        assert train_mod.step_slices(rows) == 2
-        assert (model.nfe_encoder, model.nfe_decoder) == (2, 2)
+        assert numcore.row_slices(rows) == 2
+        assert (model.nfe_encoder, model.nfe_decoder) == (1, 1)
         got = (report.loss_dec, report.loss_enc, report.total)
         for value, want in zip(got, ref_losses):
             assert abs(value - want) <= 1e-12 * abs(want), (value, want)
@@ -369,7 +369,7 @@ class TestSplitStep:
         ref, model = nudged_desk(5), nudged_desk(5)
         ref_opt = Adam(dict(ref.named_parameters()))
         opt = Adam(dict(model.named_parameters()))
-        assert train_mod.step_slices(rows) == 1
+        assert numcore.row_slices(rows) == 1
         for step in range(3):
             batch = make_batch(ds, cfg, step_stream(9, "data", step), rows)
             want = one_graph_step(ref, ref_opt, batch)
