@@ -55,6 +55,7 @@ from .spectral import (
 from .train import (
     dataset_for,
     parse_train_config,
+    read_count,
     train,
     write_metrics_csv,
     Adam,
@@ -138,8 +139,12 @@ def cmd_train(args) -> int:
         _check_min("--seed", args.seed, 0)
     if args.steps is not None:
         _check_min("--steps", args.steps, 1)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = parse_train_config(fh.read())
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{args.config} is not UTF-8: {exc}") from exc
+    config = parse_train_config(text)
     if args.seed is not None:
         config.seed = args.seed
     if args.steps is not None:
@@ -155,9 +160,7 @@ def cmd_train(args) -> int:
         if model.config != preset(config.preset):
             raise UsageError(f"config preset={config.preset} does not match "
                              f"the model config in {args.resume}")
-        if "train.step" not in arrays:
-            raise FormatError(f"{args.resume} has no training progress record")
-        start_step = int(arrays["train.step"][0])
+        start_step = read_count(arrays, "train.step")
         optimizer = Adam(dict(model.named_parameters()), lr=config.lr)
         optimizer.load_state(arrays)
         inputs.append(args.resume)
@@ -547,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

@@ -41,7 +41,6 @@ from .rng import substream
 
 __all__ = [
     "ModelConfig",
-    "ConditionBundle",
     "DDTModel",
     "PRESETS",
     "preset",
@@ -137,67 +136,42 @@ def preset(name: str) -> ModelConfig:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
-@dataclass
-class ConditionBundle:
-    """Encoder output handed to the decoder: the self-condition feature
-    alone. The decoder re-embeds its own current t, so reusing a bundle at
-    a later timestep shares exactly z and nothing else.
-    """
-    z_t: Tensor
-
-
 # ---------------------------------------------------------------------------
 # token layout
 # ---------------------------------------------------------------------------
 
 
 def patchify(x, patch_size: int):
-    """[C,H,W] or [B,C,H,W] -> [T, C*p*p] or [B, T, C*p*p], raster order."""
+    """[B, C, H, W] -> [B, T, C*p*p], raster order."""
     tensor_in = isinstance(x, Tensor)
     t = x if tensor_in else Tensor(x)
     p = patch_size
-    if t.ndim == 3:
-        c, h, w = t.shape
-        if h % p or w % p:
-            raise ValueError(f"spatial dims {h}x{w} not divisible by patch {p}")
-        out = (t.reshape(c, h // p, p, w // p, p)
-                .transpose(1, 3, 0, 2, 4)
-                .reshape((h // p) * (w // p), c * p * p))
-    elif t.ndim == 4:
-        b, c, h, w = t.shape
-        if h % p or w % p:
-            raise ValueError(f"spatial dims {h}x{w} not divisible by patch {p}")
-        out = (t.reshape(b, c, h // p, p, w // p, p)
-                .transpose(0, 2, 4, 1, 3, 5)
-                .reshape(b, (h // p) * (w // p), c * p * p))
-    else:
-        raise ValueError(f"patchify expects rank 3 or 4, got {t.ndim}")
+    if t.ndim != 4:
+        raise ValueError(f"patchify expects rank 4, got {t.ndim}")
+    b, c, h, w = t.shape
+    if h % p or w % p:
+        raise ValueError(f"spatial dims {h}x{w} not divisible by patch {p}")
+    out = (t.reshape(b, c, h // p, p, w // p, p)
+            .transpose(0, 2, 4, 1, 3, 5)
+            .reshape(b, (h // p) * (w // p), c * p * p))
     return out if tensor_in else out.data
 
 
 def unpatchify(tokens, patch_size: int, channels: int):
-    """Inverse of patchify; token count must be a perfect square grid."""
+    """[B, T, C*p*p] -> [B, C, H, W], the inverse of patchify; the token
+    count must be a perfect square grid."""
     tensor_in = isinstance(tokens, Tensor)
     t = tokens if tensor_in else Tensor(tokens)
     p, c = patch_size, channels
-    if t.ndim == 2:
-        n, d = t.shape
-        g = math.isqrt(n)
-        if g * g != n or d != c * p * p:
-            raise ValueError(f"cannot unpatchify shape {t.shape}")
-        out = (t.reshape(g, g, c, p, p)
-                .transpose(2, 0, 3, 1, 4)
-                .reshape(c, g * p, g * p))
-    elif t.ndim == 3:
-        b, n, d = t.shape
-        g = math.isqrt(n)
-        if g * g != n or d != c * p * p:
-            raise ValueError(f"cannot unpatchify shape {t.shape}")
-        out = (t.reshape(b, g, g, c, p, p)
-                .transpose(0, 3, 1, 4, 2, 5)
-                .reshape(b, c, g * p, g * p))
-    else:
-        raise ValueError(f"unpatchify expects rank 2 or 3, got {t.ndim}")
+    if t.ndim != 3:
+        raise ValueError(f"unpatchify expects rank 3, got {t.ndim}")
+    b, n, d = t.shape
+    g = math.isqrt(n)
+    if g * g != n or d != c * p * p:
+        raise ValueError(f"cannot unpatchify shape {t.shape}")
+    out = (t.reshape(b, g, g, c, p, p)
+            .transpose(0, 3, 1, 4, 2, 5)
+            .reshape(b, c, g * p, g * p))
     return out if tensor_in else out.data
 
 
@@ -206,10 +180,10 @@ def unpatchify(tokens, patch_size: int, channels: int):
 # ---------------------------------------------------------------------------
 
 def adaln_modulate(h: Tensor, cond: Tensor, weight: Tensor, bias: Tensor,
-                   branch, norm) -> Tensor:
+                   branch) -> Tensor:
     """One gated residual branch:
 
-        h + gate * branch(shift + (1 + scale) * norm(h))
+        h + gate * branch(shift + (1 + scale) * rms_norm(h))
 
     (shift, scale, gate) come from a linear on cond; with that linear
     zero-initialized the gate is zero and the output equals h exactly.
@@ -224,7 +198,7 @@ def adaln_modulate(h: Tensor, cond: Tensor, weight: Tensor, bias: Tensor,
     if m.ndim == h.ndim - 1:
         m = m.reshape(m.shape[0], 1, m.shape[-1])
     shift, scale, gate = m.chunk(3, axis=-1)
-    return gated_residual(h, gate, branch(modulate(norm(h), shift, scale)))
+    return gated_residual(h, gate, branch(modulate(rms_norm(h), shift, scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,36 +451,42 @@ class DDTModel:
     def _block(self, h: Tensor, cond: Tensor, prefix: str) -> Tensor:
         p = self.params
         h = adaln_modulate(h, cond, p[f"{prefix}.attn_mod.w"], p[f"{prefix}.attn_mod.b"],
-                           lambda x: self._attention(x, prefix), rms_norm)
+                           lambda x: self._attention(x, prefix))
         h = adaln_modulate(h, cond, p[f"{prefix}.mlp_mod.w"], p[f"{prefix}.mlp_mod.b"],
-                           lambda x: self._mlp(x, prefix), rms_norm)
+                           lambda x: self._mlp(x, prefix))
         return h
 
-    def _tokens(self, x, stack: str) -> Tensor:
+    def _tokens(self, x: np.ndarray, stack: str) -> Tensor:
         cfg = self.config
-        xt = x if isinstance(x, Tensor) else Tensor(x)
-        if xt.ndim == 3:
-            xt = xt.reshape(1, *xt.shape)
+        xt = Tensor(x)
         if xt.shape[1:] != (cfg.channels, cfg.image_size, cfg.image_size):
-            raise ValueError(f"input shape {xt.shape[1:]} does not match config "
-                             f"({cfg.channels},{cfg.image_size},{cfg.image_size})")
+            raise ValueError(f"input shape {xt.shape} is not [B, {cfg.channels}, "
+                             f"{cfg.image_size}, {cfg.image_size}]")
         tok = patchify(xt, cfg.patch_size)
         # a batched 3-D matmul, not linear(): at zero init z must equal
         # numpy's tokens @ W + b bit for bit, and a flattened GEMM need not
         return tok @ self.params[f"{stack}.embed.w"] + self.params[f"{stack}.embed.b"]
 
-    # -- public forward passes ------------------------------------------------------
+    @staticmethod
+    def _row_times(t, batch: int) -> np.ndarray:
+        """t (a scalar or one per row) as one float64 per row, in [0, 1]."""
+        t_vec = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)),
+                                (batch,)).copy()
+        if not np.all((t_vec >= 0.0) & (t_vec <= 1.0)):  # NaN fails too
+            raise ValueError(f"t must lie in [0,1], got range "
+                             f"[{t_vec.min()}, {t_vec.max()}]")
+        return t_vec
 
-    def encode(self, x_t, t, y) -> tuple[ConditionBundle, Tensor]:
-        """z_t = Encoder(x_t, t, y); also returns the alignment-layer tokens."""
+    # -- public forward passes ------------------------------------------------------
+    # x_t is a [B, C, H, W] array; z is the [B, T, D] Tensor encode returns
+
+    def encode(self, x_t: np.ndarray, t, y) -> tuple[Tensor, Tensor]:
+        """(z, h_align): z_t = Encoder(x_t, t, y) and the alignment-layer
+        tokens."""
         cfg = self.config
         tok = self._tokens(x_t, "enc")
         batch = tok.shape[0]
-        t_vec = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)),
-                                (batch,)).copy()
-        if np.any(t_vec < 0.0) or np.any(t_vec > 1.0):
-            raise ValueError(f"t must lie in [0,1], got range "
-                             f"[{t_vec.min()}, {t_vec.max()}]")
+        t_vec = self._row_times(t, batch)
         y_vec = np.broadcast_to(np.atleast_1d(np.asarray(y, dtype=np.int64)),
                                 (batch,)).copy()
         if np.any(y_vec < 0) or np.any(y_vec > cfg.null_class):
@@ -524,25 +504,19 @@ class DDTModel:
                 h_align = h
         z = rms_norm(h)
         self.nfe_encoder += 1
-        return ConditionBundle(z_t=z), h_align
+        return z, h_align
 
-    def decode(self, x_t, t, bundle: ConditionBundle) -> Tensor:
+    def decode(self, x_t: np.ndarray, t, z: Tensor) -> Tensor:
         """v_t = Decoder(x_t, t, z_t). No class label enters here; the
-        current t is re-embedded so a reused z stays honestly stale."""
+        current t is re-embedded, so a z reused at a later step shares
+        exactly z and nothing else."""
         cfg = self.config
         tok = self._tokens(x_t, "dec")
-        batch = tok.shape[0]
-        z = bundle.z_t
-        if z.ndim == 2:
-            z = z.reshape(1, *z.shape)
-        if z.shape[0] != batch or z.shape[1] != tok.shape[1]:
-            raise ValueError(f"z_t shape {z.shape} does not match token "
+        if z.shape != tok.shape:
+            raise ValueError(f"z shape {z.shape} does not match token "
                              f"stream {tok.shape}")
-        t_vec = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)),
-                                (batch,)).copy()
-        if np.any(t_vec < 0.0) or np.any(t_vec > 1.0):
-            raise ValueError("t must lie in [0,1]")
-        t_emb = self._timestep_embedding(t_vec)
+        batch = tok.shape[0]
+        t_emb = self._timestep_embedding(self._row_times(t, batch))
         cond = silu(z + t_emb.reshape(batch, 1, cfg.hidden_dim))
         h = tok
         for i in range(cfg.decoder_layers):
@@ -551,23 +525,18 @@ class DDTModel:
         shift, scale = m.chunk(2, axis=-1)
         h = modulate(rms_norm(h), shift, scale)
         out = self._linear(h, "final.proj")
-        v = unpatchify(out, cfg.patch_size, cfg.channels)
         self.nfe_decoder += 1
-        if isinstance(x_t, Tensor):
-            if x_t.ndim == 3:
-                v = v.reshape(*v.shape[1:])
-            return v
-        return v.reshape(*v.shape[1:]) if np.ndim(x_t) == 3 else v
+        return unpatchify(out, cfg.patch_size, cfg.channels)
 
-    def forward(self, x_t, t, y) -> Tensor:
-        bundle, _ = self.encode(x_t, t, y)
-        return self.decode(x_t, t, bundle)
+    def forward(self, x_t: np.ndarray, t, y) -> Tensor:
+        z, _ = self.encode(x_t, t, y)
+        return self.decode(x_t, t, z)
 
-    def teacher_features(self, x_clean) -> np.ndarray:
-        """Frozen random features of the clean sample: a patch convolution
-        (kernel == stride == patch size), tanh, and a linear projection."""
-        x = x_clean.data if isinstance(x_clean, Tensor) else np.asarray(x_clean, float)
-        tok = patchify(x, self.config.patch_size)
+    def teacher_features(self, x_clean: np.ndarray) -> np.ndarray:
+        """Frozen random features of the clean [B, C, H, W] sample: a patch
+        convolution (kernel == stride == patch size), tanh, and a linear
+        projection."""
+        tok = patchify(np.asarray(x_clean, float), self.config.patch_size)
         tw = self.teacher
         hid = np.tanh(tok @ tw["teacher.conv.w"] + tw["teacher.conv.b"])
         return hid @ tw["teacher.proj.w"] + tw["teacher.proj.b"]
@@ -595,11 +564,13 @@ _STYLE_KEY, _STYLE = "block_style", "improved"
 
 
 def save_checkpoint(path, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
-    """Magic, length-prefixed key=value header, then named float64 blocks."""
+    """Magic, length-prefixed key=value header, then named float64 blocks.
+    Temp-and-rename, so a save that fails leaves any earlier file whole."""
     header_lines = [f"{field}={getattr(config, field)}" for field in _CONFIG_FIELDS]
     header_lines.insert(_CONFIG_FIELDS.index("teacher_dim"), f"{_STYLE_KEY}={_STYLE}")
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
@@ -612,6 +583,7 @@ def save_checkpoint(path, config: ModelConfig, arrays: dict[str, np.ndarray]) ->
             for dim in data.shape:
                 fh.write(struct.pack("<I", dim))
             fh.write(data.astype("<f8").tobytes())
+    os.replace(tmp, path)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

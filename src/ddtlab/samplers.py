@@ -247,7 +247,8 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
     runs at every call when anchor_times is None; otherwise only when t is
     one of anchor_times, and the calls in between reuse the last z of each
     branch, so full sampling is the plan whose every step is an anchor.
-    on_encode(z) receives the conditional z_t each time the encoder runs.
+    on_encode(z) receives the conditional z as an array each time the
+    encoder runs.
 
     Each call cuts x and y into numcore.row_slices(B) contiguous row
     slices. A slice runs its encodes, decodes and guidance branch on its
@@ -258,16 +259,16 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
     thread count."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     null = model.config.null_class
-    held: list[dict] = []  # per slice, the z bundle of each branch
+    held: list[dict] = []  # per slice, the z of each branch
 
-    def run_slice(view, x, t, y_rows, bundles, encode):
+    def run_slice(view, x, t, y_rows, z, encode):
         if encode:
-            bundles["c"], _ = view.encode(x, t, y_rows)
+            z["c"], _ = view.encode(x, t, y_rows)
             if guidance is not None:
-                bundles["u"], _ = view.encode(x, t, np.full_like(y_rows, null))
-        v = view.decode(x, t, bundles["c"]).data
+                z["u"], _ = view.encode(x, t, np.full_like(y_rows, null))
+        v = view.decode(x, t, z["c"]).data
         if guidance is not None:
-            v = guided_velocity(v, view.decode(x, t, bundles["u"]).data, guidance, t)
+            v = guided_velocity(v, view.decode(x, t, z["u"]).data, guidance, t)
         return v
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
@@ -279,11 +280,11 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
         views = [model.with_new_leaves() for _ in held]
         with no_grad():
             vs = parallel_calls([
-                partial(run_slice, view, x[lo:hi], t, y_rows[lo:hi], bundles, encode)
-                for view, bundles, lo, hi in zip(views, held, edges, edges[1:])])
+                partial(run_slice, view, x[lo:hi], t, y_rows[lo:hi], z, encode)
+                for view, z, lo, hi in zip(views, held, edges, edges[1:])])
         model.add_slice_counts(views)
         if encode and on_encode is not None:
-            on_encode(np.concatenate([bundles["c"].z_t.data for bundles in held]))
+            on_encode(np.concatenate([z["c"].data for z in held]))
         if anchor_times is None:
             held.clear()  # no call reuses z, so none is held between calls
         return np.concatenate(vs)

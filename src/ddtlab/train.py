@@ -20,7 +20,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .datasets import DATASETS, make_dataset
-from .errors import NumericalError, UsageError
+from .errors import FormatError, NumericalError, UsageError
 from .model import PRESETS, DDTModel
 from .numcore import Tensor, parallel_calls, slice_edges
 from .rng import step_stream
@@ -40,6 +40,7 @@ __all__ = [
     "train",
     "parse_train_config",
     "write_metrics_csv",
+    "read_count",
     "T_CLAMP",
 ]
 
@@ -120,8 +121,8 @@ def loss_terms(model: DDTModel, batch: TrainBatch,
                alignment_weight: float) -> tuple[Tensor, Tensor, Tensor]:
     """(loss_dec, loss_enc, total) as graph tensors, one encode per step."""
     x_t, v_target = interpolate(batch.x_data, batch.eps, batch.t)
-    bundle, h_align = model.encode(x_t, batch.t, batch.y)
-    v = model.decode(x_t, batch.t, bundle)
+    z, h_align = model.encode(x_t, batch.t, batch.y)
+    v = model.decode(x_t, batch.t, z)
     if not np.all(np.isfinite(v.data)):
         bad = int(np.count_nonzero(~np.isfinite(v.data)))
         raise NumericalError(
@@ -193,14 +194,29 @@ class Adam:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name in self.params:
-            mk, vk = f"opt.m.{name}", f"opt.v.{name}"
-            if mk in arrays:
-                self.m[name] = np.asarray(arrays[mk], dtype=np.float64).copy()
-            if vk in arrays:
-                self.v[name] = np.asarray(arrays[vk], dtype=np.float64).copy()
-        if "opt.step" in arrays:
-            self.step_count = int(round(float(np.ravel(arrays["opt.step"])[0])))
+        """Restore what state_arrays saved: both moments of every parameter,
+        at its shape, and the step count. Anything less is a FormatError,
+        since a resumed run could not continue bit for bit."""
+        for name, p in self.params.items():
+            for moments, key in ((self.m, f"opt.m.{name}"), (self.v, f"opt.v.{name}")):
+                moment = arrays.get(key)
+                if moment is None or moment.shape != p.data.shape:
+                    raise FormatError(f"optimizer state {key!r} is missing or "
+                                      f"not of shape {p.data.shape}")
+                moments[name] = np.asarray(moment, dtype=np.float64).copy()
+        self.step_count = read_count(arrays, "opt.step")
+
+
+def read_count(arrays: dict[str, np.ndarray], key: str) -> int:
+    """The step count a checkpoint holds under key: one finite,
+    non-negative, integer-valued entry, or FormatError."""
+    if key not in arrays:
+        raise FormatError(f"checkpoint has no {key!r}")
+    value = np.ravel(arrays[key])
+    if value.size != 1 or not (np.isfinite(value[0]) and value[0] >= 0
+                               and value[0] == np.floor(value[0])):
+        raise FormatError(f"{key!r} must hold one non-negative integer, got {value}")
+    return int(value[0])
 
 
 def _slice_step(model: DDTModel, batch: TrainBatch, alignment_weight: float,

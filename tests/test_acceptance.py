@@ -240,15 +240,14 @@ def test_criterion_06_zero_init_identity():
     cond = Tensor(rng.normal(size=(2, 8)))
     w = Tensor(np.zeros((8, 24)))
     b = Tensor(np.zeros(24))
-    out = adaln_modulate(h, cond, w, b, branch=lambda q: q * 3.0 + 1.0,
-                         norm=rms_norm)
+    out = adaln_modulate(h, cond, w, b, branch=lambda q: q * 3.0 + 1.0)
     block_identity = bool(np.all(out.data == h.data))
 
     # whole encoder stack at init: z is exactly the normed patch embedding
-    bundle, _ = model.encode(x, t, y)
+    z, _ = model.encode(x, t, y)
     tokens = patchify(x, model.config.patch_size)
     embedded = tokens @ model.params["enc.embed.w"].data + model.params["enc.embed.b"].data
-    stack_identity = bool(np.all(bundle.z_t.data == rms_norm(Tensor(embedded)).data))
+    stack_identity = bool(np.all(z.data == rms_norm(Tensor(embedded)).data))
 
     report(6, "zero-init identity", velocity_zero and block_identity and stack_identity,
            f"fresh velocity all-zero: {velocity_zero}, AdaLN block exact identity: "

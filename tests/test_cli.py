@@ -15,7 +15,7 @@ import pytest
 import ddtlab
 import ddtlab.cli as cli
 from ddtlab.cli import build_parser, main
-from ddtlab.model import DDTModel, ModelConfig, preset, save_checkpoint
+from ddtlab.model import DDTModel, ModelConfig, load_checkpoint, preset, save_checkpoint
 from ddtlab.sharesched import plan_uniform, write_plan, write_similarity
 
 
@@ -145,6 +145,54 @@ def test_train_bad_config_value_exits_2(tmp_path, capsys, field, value):
 def test_train_missing_config_exits_3(tmp_path):
     assert main(["train", "--config", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--config"),
+                                           ("sample", "--checkpoint")])
+def test_directory_input_exits_3(tmp_path, capsys, command, flag):
+    (tmp_path / "dir").mkdir()
+    assert main([command, flag, str(tmp_path / "dir"),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    """A two-step desk training run, for resuming from."""
+    root = tmp_path_factory.mktemp("desk")
+    cfg = write_config(root / "config.txt", steps=3)
+    assert main(["train", "--config", str(cfg), "--steps", "2",
+                 "--out", str(root / "run")]) == 0
+    return cfg, root / "run" / "checkpoint.ckpt"
+
+
+QKV = "enc.b0.attn.qkv.w"
+CORRUPT_STATE = {
+    "no opt.v": lambda a: a.pop(f"opt.v.{QKV}"),
+    "no opt.step": lambda a: a.pop("opt.step"),
+    "opt.m shape": lambda a: a.update({f"opt.m.{QKV}": np.zeros(3)}),
+    "opt.step fraction": lambda a: a.update({"opt.step": np.array(1.5)}),
+    "opt.step negative": lambda a: a.update({"opt.step": np.array(-2.0)}),
+    "train.step nan": lambda a: a.update({"train.step": np.array([np.nan])}),
+    "train.step empty": lambda a: a.update({"train.step": np.zeros(0)}),
+    "no train.step": lambda a: a.pop("train.step"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_STATE))
+def test_resume_incomplete_state_exits_3(tmp_path, capsys, desk_run, case):
+    # the resumed run would not continue the first one bit for bit
+    cfg, ckpt = desk_run
+    config, arrays = load_checkpoint(ckpt)
+    CORRUPT_STATE[case](arrays)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, config, arrays)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--resume", str(bad),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_resume_with_other_preset_exits_2(tmp_path, capsys):
@@ -331,14 +379,17 @@ def test_sample_corrupt_checkpoint_exits_3(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
-@pytest.mark.parametrize("flag", ["--checkpoint", "--plan", "--similarity"])
-def test_non_utf8_input_exits_3(tmp_path, tiny_ckpt, flag):
-    # a 0xff byte in the header of a checkpoint, plan or similarity file
+@pytest.mark.parametrize("flag", ["--checkpoint", "--plan", "--similarity",
+                                  "--config"])
+def test_non_utf8_input_exits_3(tmp_path, tiny_ckpt, capsys, flag):
+    # a 0xff byte in the header of a checkpoint, plan or similarity file,
+    # or in a training config
     write_plan(tmp_path / "plan.txt", plan_uniform(4, 2))
     good, marker = {
         "--checkpoint": (tiny_ckpt.read_bytes(), b"encoder_layers"),
         "--plan": ((tmp_path / "plan.txt").read_bytes(), b"N="),
         "--similarity": (b"ddtlab-similarity v1\nN=1\n1\n", b"N="),
+        "--config": (write_config(tmp_path / "config.txt").read_bytes(), b"preset"),
     }[flag]
     at = good.index(marker)
     bad = tmp_path / "bad"
@@ -348,8 +399,10 @@ def test_non_utf8_input_exits_3(tmp_path, tiny_ckpt, flag):
         "--plan": ["sample", "--checkpoint", str(tiny_ckpt), "--steps", "4",
                    "--plan", str(bad)],
         "--similarity": ["plan", "--similarity", str(bad), "--budget", "1"],
+        "--config": ["train", "--config", str(bad)],
     }[flag]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

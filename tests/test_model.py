@@ -9,7 +9,6 @@ import pytest
 from ddtlab.errors import FormatError
 from ddtlab.model import (
     CHECKPOINT_MAGIC,
-    ConditionBundle,
     DDTModel,
     ModelConfig,
     adaln_modulate,
@@ -89,22 +88,22 @@ def tiny_config(**overrides) -> ModelConfig:
 
 class TestPatchify:
     def test_single_patch(self):
-        x = np.arange(4.0).reshape(1, 2, 2)
+        x = np.arange(4.0).reshape(1, 1, 2, 2)
         tok = patchify(x, 2)
-        assert tok.shape == (1, 4)
-        np.testing.assert_array_equal(tok[0], [0, 1, 2, 3])
+        assert tok.shape == (1, 1, 4)
+        np.testing.assert_array_equal(tok[0, 0], [0, 1, 2, 3])
 
     def test_raster_order(self):
-        x = np.arange(16.0).reshape(1, 4, 4)
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
         tok = patchify(x, 2)
-        assert tok.shape == (4, 4)
+        assert tok.shape == (1, 4, 4)
         # token 0 is the top-left patch, token 1 the top-right one
-        np.testing.assert_array_equal(tok[0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(tok[1], [2, 3, 6, 7])
-        np.testing.assert_array_equal(tok[2], [8, 9, 12, 13])
+        np.testing.assert_array_equal(tok[0, 0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(tok[0, 1], [2, 3, 6, 7])
+        np.testing.assert_array_equal(tok[0, 2], [8, 9, 12, 13])
 
     def test_round_trip_bit_identical(self):
-        x = RNG.standard_normal((4, 8, 8))
+        x = RNG.standard_normal((1, 4, 8, 8))
         back = unpatchify(patchify(x, 2), 2, 4)
         assert np.array_equal(back, x)
 
@@ -115,7 +114,7 @@ class TestPatchify:
 
     def test_rejects_indivisible(self):
         with pytest.raises(ValueError):
-            patchify(np.zeros((1, 5, 5)), 2)
+            patchify(np.zeros((1, 1, 5, 5)), 2)
 
 
 class TestAdaLNModulate:
@@ -124,7 +123,7 @@ class TestAdaLNModulate:
         cond = Tensor(RNG.standard_normal((2, 8)))
         w = Tensor(np.zeros((8, 24)))
         b = Tensor(np.zeros(24))
-        out = adaln_modulate(h, cond, w, b, lambda x: x * 2.0 + 1.0, rms_norm)
+        out = adaln_modulate(h, cond, w, b, lambda x: x * 2.0 + 1.0)
         assert np.array_equal(out.data, h.data)
 
     def test_unit_gate_identity_block(self):
@@ -133,7 +132,7 @@ class TestAdaLNModulate:
         w = Tensor(np.zeros((8, 24)))
         # bias encodes (shift=0, scale=0, gate=1)
         b = Tensor(np.concatenate([np.zeros(8), np.zeros(8), np.ones(8)]))
-        out = adaln_modulate(h, cond, w, b, lambda x: x, rms_norm)
+        out = adaln_modulate(h, cond, w, b, lambda x: x)
         expected = h.data + rms_norm(h).data
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
@@ -144,7 +143,7 @@ class TestAdaLNModulate:
         b = Tensor(RNG.standard_normal(24) * 0.3, requires_grad=True)
 
         def run(ht, ct, wt, bt):
-            return (adaln_modulate(ht, ct, wt, bt, lambda x: x * x, rms_norm) ** 2.0).sum()
+            return (adaln_modulate(ht, ct, wt, bt, lambda x: x * x) ** 2.0).sum()
 
         loss = run(h, cond, w, b)
         assert np.isfinite(loss.item())
@@ -174,7 +173,7 @@ class TestAdaLNModulate:
         w = Tensor(np.zeros((8, 24)))
         b = Tensor(np.zeros(24))
         with pytest.raises(ValueError):
-            adaln_modulate(h, cond, w, b, lambda x: x, rms_norm)
+            adaln_modulate(h, cond, w, b, lambda x: x)
 
 
 class TestEncoderDecoder:
@@ -183,7 +182,7 @@ class TestEncoderDecoder:
         x = RNG.standard_normal((2, 1, 4, 4))
         b1, _ = model.encode(x, 0.4, [1, 2])
         b2, _ = model.encode(x, 0.4, [1, 2])
-        assert np.array_equal(b1.z_t.data, b2.z_t.data)
+        assert np.array_equal(b1.data, b2.data)
 
     def test_label_changes_z(self):
         cfg = tiny_config()
@@ -195,17 +194,17 @@ class TestEncoderDecoder:
         x = RNG.standard_normal((1, 1, 4, 4))
         za, _ = model.encode(x, 0.5, 0)
         zb, _ = model.encode(x, 0.5, 1)
-        assert not np.array_equal(za.z_t.data, zb.z_t.data)
+        assert not np.array_equal(za.data, zb.data)
 
     def test_fresh_init_z_is_normed_embedding(self):
         cfg = tiny_config()
         model = DDTModel(cfg, seed=9)
         x = RNG.standard_normal((1, 1, 4, 4))
-        bundle, _ = model.encode(x, 0.3, 2)
+        z, _ = model.encode(x, 0.3, 2)
         tok = patchify(x, cfg.patch_size) @ model.params["enc.embed.w"].data
         tok = tok + model.params["enc.embed.b"].data
         expected = rms_norm(Tensor(tok)).data
-        np.testing.assert_array_equal(bundle.z_t.data, expected)
+        np.testing.assert_array_equal(z.data, expected)
 
     def test_fresh_init_velocity_exactly_zero(self):
         model = DDTModel(tiny_config(), seed=5)
@@ -232,14 +231,14 @@ class TestEncoderDecoder:
         for _, p in model.named_parameters():
             p.data += 0.05 * np.random.default_rng(2).standard_normal(p.shape)
         x = RNG.standard_normal((1, 1, 4, 4))
-        ba, _ = model.encode(x, 0.5, 0)
-        bb, _ = model.encode(x, 0.5, 1)
-        # the label reaches the decoder only through z: a bundle built
-        # from a copy of z decodes exactly as the encoder's own bundle
-        same_z = ConditionBundle(z_t=Tensor(ba.z_t.data.copy()))
-        va = model.decode(x, 0.5, ba)
+        za, _ = model.encode(x, 0.5, 0)
+        zb, _ = model.encode(x, 0.5, 1)
+        # the label reaches the decoder only through z: a copy of z
+        # decodes exactly as the encoder's own z
+        same_z = Tensor(za.data.copy())
+        va = model.decode(x, 0.5, za)
         assert np.array_equal(model.decode(x, 0.5, same_z).data, va.data)
-        assert not np.array_equal(model.decode(x, 0.5, bb).data, va.data)
+        assert not np.array_equal(model.decode(x, 0.5, zb).data, va.data)
 
     def test_rejects_bad_t_and_y(self):
         model = DDTModel(tiny_config(), seed=0)
@@ -249,15 +248,27 @@ class TestEncoderDecoder:
         with pytest.raises(ValueError):
             model.encode(x, -0.1, 0)
         with pytest.raises(ValueError):
+            model.encode(x, np.nan, 0)
+        with pytest.raises(ValueError):
             model.encode(x, 0.5, 99)
+        z, _ = model.encode(x, 0.5, 0)
+        with pytest.raises(ValueError):
+            model.decode(x, np.nan, z)
 
     def test_rejects_token_mismatch(self):
         model = DDTModel(tiny_config(), seed=0)
         x = np.zeros((1, 1, 4, 4))
-        bundle, _ = model.encode(x, 0.5, 0)
-        bad = ConditionBundle(Tensor(np.zeros((1, 3, 8))))
+        z, _ = model.encode(x, 0.5, 0)
         with pytest.raises(ValueError):
-            model.decode(x, 0.5, bad)
+            model.decode(x, 0.5, Tensor(np.zeros((1, 3, 8))))
+        # one contract: x is [B, C, H, W] and z is [B, T, D], never a
+        # single image or a single image's tokens
+        with pytest.raises(ValueError):
+            model.encode(x[0], 0.5, 0)
+        with pytest.raises(ValueError):
+            model.decode(x[0], 0.5, z)
+        with pytest.raises(ValueError):
+            model.decode(x, 0.5, Tensor(z.data[0]))
 
     def test_alignment_tokens_from_configured_layer(self):
         cfg = tiny_config(alignment_layer=2)
@@ -281,18 +292,18 @@ class TestEncoderDecoder:
             t = rng.uniform(0.0, 1.0, rows)
             y = rng.integers(0, 5, rows)
             with no_grad():
-                bundle, _ = model.encode(x, t, y)
-                v = model.decode(x, t, bundle)
+                z, _ = model.encode(x, t, y)
+                v = model.decode(x, t, z)
             z_ref, v_ref = composed_forward(model, x, t, y)
-            assert np.array_equal(bundle.z_t.data, z_ref), rows
+            assert np.array_equal(z.data, z_ref), rows
             assert np.array_equal(v.data, v_ref), rows
 
     def test_nfe_counters(self):
         model = DDTModel(tiny_config(), seed=0)
         x = np.zeros((2, 1, 4, 4))
-        bundle, _ = model.encode(x, 0.5, 0)
-        model.decode(x, 0.5, bundle)
-        model.decode(x, 0.6, bundle)
+        z, _ = model.encode(x, 0.5, 0)
+        model.decode(x, 0.5, z)
+        model.decode(x, 0.6, z)
         assert (model.nfe_encoder, model.nfe_decoder) == (1, 2)
         model.reset_counters()
         assert (model.nfe_encoder, model.nfe_decoder) == (0, 0)
@@ -312,8 +323,8 @@ class TestTeacher:
         model = DDTModel(cfg, seed=0)
         x = RNG.standard_normal((1, 1, 8, 8))
         feats = model.teacher_features(x)
-        bundle, _ = model.encode(x, 0.5, 0)
-        assert feats.shape[1] == bundle.z_t.shape[1]
+        z, _ = model.encode(x, 0.5, 0)
+        assert feats.shape[1] == z.shape[1]
 
     def test_teacher_params_not_trainable(self):
         model = DDTModel(tiny_config(), seed=0)
@@ -372,6 +383,16 @@ class TestCheckpoint:
         for name, arr in model.teacher.items():
             assert np.array_equal(restored.teacher[name], arr), name
         assert arrays["opt.step"] == 7.0
+
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, cfg, DDTModel(cfg, seed=13).state_arrays())
+        before = path.read_bytes()
+        # the second block cannot be converted, after the first is written
+        with pytest.raises(ValueError):
+            save_checkpoint(path, cfg, {"a": np.zeros(3), "b": "not a number"})
+        assert path.read_bytes() == before
 
     def test_restored_model_forward_identical(self, tmp_path):
         cfg = tiny_config()

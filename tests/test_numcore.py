@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddtlab import numcore
-from ddtlab.model import ConditionBundle
 from ddtlab.numcore import (
     Tensor,
     dct_matrix,
@@ -562,9 +561,9 @@ class ScriptedEncoder:
         pass
 
     def encode(self, x, t, y):
-        return ConditionBundle(z_t=Tensor(next(self.z))), None
+        return Tensor(next(self.z)), None
 
-    def decode(self, x, t, bundle):
+    def decode(self, x, t, z):
         return Tensor(np.zeros_like(x))
 
 
