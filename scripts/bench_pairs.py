@@ -26,8 +26,9 @@ median ms per request kind.
 Every run also records the BLAS thread count it ran with and the thread
 variables of its environment. A workload whose runs did not all run with
 one BLAS thread count gets no summary, only a "refused" reason, and the
-script exits 1: ddtlab's inference splits its batches by BLAS threads,
-so such sides did not do the same work.
+script exits 1: with a different BLAS thread count the two sides run
+with different parallelism (ddtlab's row slices run side by side only
+with two or more threads), so their timings are not comparable.
 """
 
 from __future__ import annotations

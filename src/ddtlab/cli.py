@@ -24,6 +24,7 @@ import numpy as np
 
 from .datasets import DATASETS, make_dataset
 from .errors import FormatError, NumericalError, UsageError
+from .files import atomic_write, open_text
 from .metrics import mmd_rbf, spectral_distance
 from .model import DDTModel, load_checkpoint, preset, save_checkpoint
 from .numcore import blas_threads, row_slices
@@ -73,18 +74,9 @@ def _checksum_file(path) -> str:
 
 
 def _write_json(path, payload: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _write_npy(path, array: np.ndarray) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        np.save(fh, array)
-    os.replace(tmp, path)
 
 
 def _load_model(path) -> tuple[DDTModel, dict[str, np.ndarray]]:
@@ -135,16 +127,8 @@ def _write_manifest(out_dir: str, command: str, seed: int, inputs: list,
 
 
 def cmd_train(args) -> int:
-    if args.seed is not None:
-        _check_min("--seed", args.seed, 0)
-    if args.steps is not None:
-        _check_min("--steps", args.steps, 1)
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{args.config} is not UTF-8: {exc}") from exc
-    config = parse_train_config(text)
+    with open_text(args.config) as fh:
+        config = parse_train_config(fh.read())
     if args.seed is not None:
         config.seed = args.seed
     if args.steps is not None:
@@ -207,21 +191,12 @@ def cmd_train(args) -> int:
 def _budget_from_ratio(num_steps: int, ratio: float) -> int:
     if not 0.0 <= ratio < 1.0:
         raise UsageError(f"--share-ratio must lie in [0, 1), got {ratio}")
-    return max(1, math.ceil(num_steps * (1.0 - ratio)))
-
-
-def _check_min(flag: str, value, low) -> None:
-    # `not >=` refuses a NaN float; an int is always finite
-    if not (value >= low and (isinstance(value, int) or math.isfinite(value))):
-        raise UsageError(f"{flag} must be a finite number >= {low}, got {value}")
+    # rounded first, so that a binary float just above a whole number
+    # (1 - 0.7 = 0.30000000000000004) does not gain an anchor
+    return max(1, math.ceil(round(num_steps * (1.0 - ratio), 9)))
 
 
 def cmd_sample(args) -> int:
-    _check_min("--seed", args.seed, 0)
-    _check_min("--steps", args.steps, 1)
-    _check_min("--shift", args.shift, 1)
-    _check_min("--cfg-w", args.cfg_w, 0)
-    _check_min("--num", args.num, 2)  # the MMD needs two samples
     a, b = args.cfg_interval
     if not 0.0 <= a < b <= 1.0:
         raise UsageError(f"--cfg-interval needs 0 <= a < b <= 1, got {a} {b}")
@@ -286,7 +261,8 @@ def cmd_sample(args) -> int:
         "budget": expected_k,
     }
     os.makedirs(args.out, exist_ok=True)
-    _write_npy(os.path.join(args.out, "samples.npy"), samples)
+    with atomic_write(os.path.join(args.out, "samples.npy"), binary=True) as fh:
+        np.save(fh, samples)
     _write_json(os.path.join(args.out, "eval.json"), report)
     _write_manifest(args.out, "sample", args.seed, inputs,
                     ["samples.npy", "eval.json"],
@@ -324,10 +300,6 @@ def _probe_checkpoint(args) -> SimilarityMatrix:
 def cmd_plan(args) -> int:
     if (args.similarity is None) == (args.checkpoint is None):
         raise UsageError("provide exactly one of --similarity or --checkpoint")
-    _check_min("--seed", args.seed, 0)
-    _check_min("--steps", args.steps, 1)
-    _check_min("--shift", args.shift, 1)
-    _check_min("--probe-size", args.probe_size, 1)
 
     # N and the budget are known before any probe, so a bad pair exits 2
     # before the probe runs or --out is made
@@ -399,11 +371,6 @@ def cmd_diagnose(args) -> int:
         t_list.append(t)
     if not t_list:
         raise UsageError("--t-list must name at least one time")
-    _check_min("--seed", args.seed, 0)
-    _check_min("--trials", args.trials, 1)
-    _check_min("--steps", args.steps, 1)
-    _check_min("--shift", args.shift, 1)
-    _check_min("--probe-size", args.probe_size, 1)
     # a bad checkpoint fails here, before the output directory exists
     sim = None if args.checkpoint is None else _probe_checkpoint(args)
 
@@ -425,11 +392,9 @@ def cmd_diagnose(args) -> int:
 
     if sim is not None:
         # plot-ready heatmap: N rows of N comma-separated values
-        tmp = os.path.join(args.out, "similarity.csv.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(args.out, "similarity.csv")) as fh:
             for row in sim.S:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        os.replace(tmp, os.path.join(args.out, "similarity.csv"))
         write_similarity(os.path.join(args.out, "similarity.txt"), sim)
         outputs.extend(["similarity.csv", "similarity.txt"])
 
@@ -539,6 +504,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least legal value of each numeric flag, by argparse dest; main checks
+# every one a command has before the command runs
+_MINIMUMS = {"seed": 0, "steps": 1, "shift": 1, "cfg_w": 0,
+             "num": 2,  # the MMD needs two samples
+             "probe_size": 1, "trials": 1}
+
+
+def _check_minimums(args) -> None:
+    for dest, low in _MINIMUMS.items():
+        value = getattr(args, dest, None)
+        # None is a flag left unset; `not >=` refuses a NaN float, and an
+        # int is always finite
+        if value is not None and not (
+                value >= low and (isinstance(value, int) or math.isfinite(value))):
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} must be a finite number >= {low}, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -546,11 +529,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_minimums(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

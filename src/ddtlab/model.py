@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError
+from .files import atomic_write
 from .numcore import (
     Tensor,
     gated_residual,
@@ -97,41 +98,26 @@ class ModelConfig:
         return self.num_classes
 
 
-def _preset_desk() -> ModelConfig:
-    return ModelConfig(encoder_layers=4, decoder_layers=2, hidden_dim=64, heads=4,
-                       patch_size=2, image_size=8, channels=1, num_classes=4,
-                       alignment_layer=2, teacher_dim=32)
-
-
-def _preset_b2() -> ModelConfig:
-    return ModelConfig(encoder_layers=8, decoder_layers=4, hidden_dim=768, heads=12,
-                       patch_size=2, image_size=32, channels=4, num_classes=1000,
-                       alignment_layer=4, teacher_dim=768)
-
-
-def _preset_l2() -> ModelConfig:
-    return ModelConfig(encoder_layers=20, decoder_layers=4, hidden_dim=1024, heads=16,
-                       patch_size=2, image_size=32, channels=4, num_classes=1000,
-                       alignment_layer=10, teacher_dim=768)
-
-
-def _preset_xl2() -> ModelConfig:
-    return ModelConfig(encoder_layers=22, decoder_layers=6, hidden_dim=1152, heads=16,
-                       patch_size=2, image_size=32, channels=4, num_classes=1000,
-                       alignment_layer=11, teacher_dim=768)
-
-
+# ModelConfig is frozen, so one instance per name can be shared
 PRESETS = {
-    "desk": _preset_desk,
-    "b2": _preset_b2,
-    "l2": _preset_l2,
-    "xl2": _preset_xl2,
+    "desk": ModelConfig(encoder_layers=4, decoder_layers=2, hidden_dim=64, heads=4,
+                        patch_size=2, image_size=8, channels=1, num_classes=4,
+                        alignment_layer=2, teacher_dim=32),
+    "b2": ModelConfig(encoder_layers=8, decoder_layers=4, hidden_dim=768, heads=12,
+                      patch_size=2, image_size=32, channels=4, num_classes=1000,
+                      alignment_layer=4, teacher_dim=768),
+    "l2": ModelConfig(encoder_layers=20, decoder_layers=4, hidden_dim=1024, heads=16,
+                      patch_size=2, image_size=32, channels=4, num_classes=1000,
+                      alignment_layer=10, teacher_dim=768),
+    "xl2": ModelConfig(encoder_layers=22, decoder_layers=6, hidden_dim=1152, heads=16,
+                       patch_size=2, image_size=32, channels=4, num_classes=1000,
+                       alignment_layer=11, teacher_dim=768),
 }
 
 
 def preset(name: str) -> ModelConfig:
     try:
-        return PRESETS[name]()
+        return PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
 
@@ -569,8 +555,7 @@ def save_checkpoint(path, config: ModelConfig, arrays: dict[str, np.ndarray]) ->
     header_lines = [f"{field}={getattr(config, field)}" for field in _CONFIG_FIELDS]
     header_lines.insert(_CONFIG_FIELDS.index("teacher_dim"), f"{_STYLE_KEY}={_STYLE}")
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
@@ -583,7 +568,6 @@ def save_checkpoint(path, config: ModelConfig, arrays: dict[str, np.ndarray]) ->
             for dim in data.shape:
                 fh.write(struct.pack("<I", dim))
             fh.write(data.astype("<f8").tobytes())
-    os.replace(tmp, path)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

@@ -11,17 +11,16 @@ coefficients; with one history point it reduces to Euler bit-for-bit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError
+from .files import atomic_write
 from .numcore import no_grad, parallel_calls, slice_edges
 
 __all__ = [
-    "LinearSchedule",
     "TimeGrid",
     "GuidanceSpec",
     "make_timegrid",
@@ -36,25 +35,6 @@ __all__ = [
     "TrajectoryRecorder",
     "SOLVER_ORDERS",
 ]
-
-
-@dataclass(frozen=True)
-class LinearSchedule:
-    """alpha(t)=t, sigma(t)=1-t; f and g^2 are the drift/diffusion of the
-    SDE whose probability-flow ODE the velocity parameterizes."""
-
-    def alpha(self, t):
-        return np.asarray(t, dtype=np.float64)
-
-    def sigma(self, t):
-        return 1.0 - np.asarray(t, dtype=np.float64)
-
-    def f(self, t):
-        return 1.0 / np.asarray(t, dtype=np.float64)
-
-    def g2(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return -2.0 * (1.0 - t) / t
 
 
 @dataclass(frozen=True)
@@ -129,12 +109,10 @@ class TrajectoryRecorder:
                           float(np.linalg.norm(v))))
 
     def write_csv(self, path) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("step,t,norm_x,norm_v\n")
             for step, t, nx, nv in self.rows:
                 fh.write(f"{step},{t:.10g},{nx:.10g},{nv:.10g}\n")
-        os.replace(tmp, path)
 
 
 def lagrange_coefficients(times, interval) -> np.ndarray:
@@ -213,12 +191,14 @@ def adams_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
     return _integrate(velocity_field, x_0, grid, order, recorder)
 
 
-def sde_coefficients(schedule: LinearSchedule, t: float) -> tuple[float, float]:
-    """(f, g^2) at t: f = 1/t, g^2 = -2(1-t)/t. Singular at t=0."""
+def sde_coefficients(t: float) -> tuple[float, float]:
+    """(f, g^2) at t for the linear schedule alpha(t)=t, sigma(t)=1-t: the
+    drift and diffusion of the SDE whose probability-flow ODE the velocity
+    parameterizes, f = 1/t and g^2 = -2(1-t)/t. Singular at t=0."""
     t = float(t)
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie strictly inside (0,1), got {t}")
-    return float(schedule.f(t)), float(schedule.g2(t))
+    return 1.0 / t, -2.0 * (1.0 - t) / t
 
 
 def decompose_velocity(v, x_t, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import FormatError
+from .files import atomic_write, open_text
 from .samplers import (
     GuidanceSpec,
     TimeGrid,
@@ -329,51 +329,37 @@ def write_similarity(path, S) -> None:
     """Textual: magic line, N=..., then N rows of N floats (full precision,
     so a round-trip is bit-exact)."""
     s = _as_matrix(S)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{_SIM_MAGIC}\n")
         fh.write(f"N={s.shape[0]}\n")
         for row in s:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    os.replace(tmp, path)
-
-
-def _read_lines(path) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def read_similarity(path) -> SimilarityMatrix:
     """Read the write_similarity format: magic line, N=..., then N lines
     of N numbers, the body parsed in one np.loadtxt pass over the open
     file. Anything else raises FormatError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n") != _SIM_MAGIC:
-                raise FormatError(f"not a similarity file: {path}")
-            header = fh.readline().rstrip("\n")
-            if not header.startswith("N="):
-                raise FormatError("similarity file missing N header")
+    with open_text(path) as fh:
+        if fh.readline().rstrip("\n") != _SIM_MAGIC:
+            raise FormatError(f"not a similarity file: {path}")
+        header = fh.readline().rstrip("\n")
+        if not header.startswith("N="):
+            raise FormatError("similarity file missing N header")
+        try:
+            n = int(header[2:])
+        except ValueError as exc:
+            raise FormatError(f"bad N header: {header!r}") from exc
+        if n < 1:
+            raise FormatError(f"bad N header: {header!r}")
+        with warnings.catch_warnings():
+            # an empty body only warns; the shape check below rejects it
+            warnings.simplefilter("ignore", UserWarning)
             try:
-                n = int(header[2:])
-            except ValueError as exc:
-                raise FormatError(f"bad N header: {header!r}") from exc
-            if n < 1:
-                raise FormatError(f"bad N header: {header!r}")
-            with warnings.catch_warnings():
-                # an empty body only warns; the shape check below rejects it
-                warnings.simplefilter("ignore", UserWarning)
-                try:
-                    s = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
-                except UnicodeDecodeError:  # a ValueError too; reported below
-                    raise
-                except ValueError as exc:  # a non-numeric entry or a ragged row
-                    raise FormatError(f"bad similarity body: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+                s = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+            except ValueError as exc:  # a non-numeric entry, a ragged row, or
+                # bytes that are not UTF-8 (UnicodeDecodeError)
+                raise FormatError(f"bad similarity body: {exc}") from exc
     if s.shape != (n, n):
         raise FormatError(f"expected {n * n} entries as {n} rows of {n}, "
                           f"found {s.shape[0]} rows of {s.shape[1]}")
@@ -384,8 +370,7 @@ def read_similarity(path) -> SimilarityMatrix:
 
 
 def write_plan(path, plan: SharingPlan, checksum: str = "none") -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{_PLAN_MAGIC}\n")
         fh.write(f"N={plan.N}\n")
         fh.write(f"K={plan.K}\n")
@@ -395,11 +380,11 @@ def write_plan(path, plan: SharingPlan, checksum: str = "none") -> None:
         utility = "none" if plan.utility is None else f"{plan.utility:.17g}"
         fh.write(f"utility={utility}\n")
         fh.write("anchors=" + ",".join(str(a) for a in plan.anchors) + "\n")
-    os.replace(tmp, path)
 
 
 def read_plan(path) -> tuple[SharingPlan, str]:
-    lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
+    with open_text(path) as fh:
+        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     if not lines or lines[0] != _PLAN_MAGIC:
         raise FormatError(f"not a plan file: {path}")
     fields: dict[str, str] = {}

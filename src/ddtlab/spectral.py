@@ -16,12 +16,12 @@ floor(sqrt(i^2 + j^2)) and each bin reports its mean squared coefficient.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .files import atomic_write
 from .numcore import dct_matrix
 
 __all__ = [
@@ -152,11 +152,9 @@ def write_spectrum_csv(path, profile: SpectrumProfile,
     analytic = profile.coefficients
     if empirical is not None and len(empirical) != len(analytic):
         raise ValueError("empirical spectrum length does not match profile")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("freq,c_data,c_noisy_analytic,c_noisy_empirical\n")
         for i in range(len(analytic)):
             emp = "" if empirical is None else f"{empirical[i]:.17g}"
             fh.write(f"{i},{profile.data_coefficients[i]:.17g},"
                      f"{analytic[i]:.17g},{emp}\n")
-    os.replace(tmp, path)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import time
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -21,6 +20,7 @@ import numpy as np
 
 from .datasets import DATASETS, make_dataset
 from .errors import FormatError, NumericalError, UsageError
+from .files import atomic_write
 from .model import PRESETS, DDTModel
 from .numcore import Tensor, parallel_calls, slice_edges
 from .rng import step_stream
@@ -329,14 +329,12 @@ def write_metrics_csv(path, history: list[LossReport], start_step: int = 0) -> N
     the L2 norm of the step's gradient, step_ms its wall time, and skipped
     is 1 for a step whose non-finite gradient left the parameters
     unchanged. Temp-and-rename so readers never see a half-written file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("step,loss_dec,loss_enc,total,grad_norm,step_ms,skipped\n")
         for i, rep in enumerate(history):
             fh.write(f"{start_step + i},{rep.loss_dec:.10g},"
                      f"{rep.loss_enc:.10g},{rep.total:.10g},{rep.grad_norm:.10g},"
                      f"{rep.step_ms:.3f},{int(rep.skipped)}\n")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from ddtlab.numcore import Tensor
 from ddtlab.rng import substream
 from ddtlab.samplers import (
     GuidanceSpec,
-    LinearSchedule,
     adams_sample,
     euler_sample,
     make_timegrid,
@@ -177,7 +176,7 @@ def test_criterion_04_probability_flow_identity():
         eps = rng.normal(size=(3,))
         t = float(rng.uniform(0.01, 0.99))
         x_t, v = interpolate(x_data, eps, np.array(t))
-        f, g2 = sde_coefficients(LinearSchedule(), t)
+        f, g2 = sde_coefficients(t)
         score = velocity_to_score(v, x_t, t)
         lhs = f * x_t - 0.5 * g2 * score
         worst = max(worst, float(np.abs(lhs - v).max()))

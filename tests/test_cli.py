@@ -147,11 +147,19 @@ def test_train_missing_config_exits_3(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
-@pytest.mark.parametrize("command, flag", [("train", "--config"),
-                                           ("sample", "--checkpoint")])
-def test_directory_input_exits_3(tmp_path, capsys, command, flag):
+# a directory (IsADirectoryError), or a path through a regular file
+# (NotADirectoryError)
+@pytest.mark.parametrize("command, flag, kind", [
+    pytest.param("train", "--config", "dir", id="train---config"),
+    pytest.param("sample", "--checkpoint", "dir", id="sample---checkpoint"),
+    pytest.param("train", "--config", "file/x", id="train---config-file/x"),
+    pytest.param("sample", "--checkpoint", "file/x", id="sample---checkpoint-file/x"),
+    pytest.param("plan", "--similarity", "file/x", id="plan---similarity-file/x"),
+])
+def test_directory_input_exits_3(tmp_path, capsys, command, flag, kind):
     (tmp_path / "dir").mkdir()
-    assert main([command, flag, str(tmp_path / "dir"),
+    (tmp_path / "file").write_text("x\n")
+    assert main([command, flag, str(tmp_path / kind),
                  "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.count("\n") == 1
     assert not (tmp_path / "o").exists()
@@ -343,6 +351,22 @@ def test_sample_share_ratio_nfe(tmp_path, tiny_ckpt):
     assert report["budget"] == 13  # ceil(50/4)
     assert report["nfe_encoder"] == 13
     assert report["nfe_decoder"] == 50
+
+
+@pytest.mark.parametrize("steps, ratio, budget", [(10, 0.7, 3), (20, 0.85, 3),
+                                                 (50, 0.7, 15), (50, 0.75, 13)])
+def test_budget_from_ratio_is_the_exact_ceiling(steps, ratio, budget):
+    # 1 - 0.7 is 0.30000000000000004 in binary floats: ceil(10 * that) is 4
+    assert cli._budget_from_ratio(steps, ratio) == budget
+
+
+def test_sample_share_ratio_budget_is_the_exact_ceiling(tmp_path, tiny_ckpt):
+    out = tmp_path / "s"
+    assert main(["sample", "--checkpoint", str(tiny_ckpt), "--steps", "10",
+                 "--num", "4", "--share-ratio", "0.7", "--out", str(out)]) == 0
+    report = json.loads((out / "eval.json").read_text())
+    assert report["budget"] == 3  # ceil(10 * 0.3)
+    assert report["nfe_encoder"] == 3
 
 
 def test_sample_guided_nfe(tmp_path, tiny_ckpt):

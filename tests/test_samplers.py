@@ -18,7 +18,6 @@ from ddtlab.errors import NumericalError
 from ddtlab.model import DDTModel, ModelConfig
 from ddtlab.samplers import (
     GuidanceSpec,
-    LinearSchedule,
     TimeGrid,
     TrajectoryRecorder,
     adams_sample,
@@ -272,18 +271,17 @@ class TestGuidance:
 
 class TestScheduleAndScore:
     def test_sde_coefficients_midpoint(self):
-        f, g2 = sde_coefficients(LinearSchedule(), 0.5)
+        f, g2 = sde_coefficients(0.5)
         assert f == 2.0 and g2 == -2.0
 
     def test_g2_vanishes_at_data_end(self):
-        _, g2 = sde_coefficients(LinearSchedule(), 1.0 - 1e-9)
+        _, g2 = sde_coefficients(1.0 - 1e-9)
         assert abs(g2) < 3e-9
 
     def test_rejects_endpoints(self):
-        sched = LinearSchedule()
         for t in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
-                sde_coefficients(sched, t)
+                sde_coefficients(t)
         with pytest.raises(ValueError):
             velocity_to_score(np.zeros(2), np.zeros(2), 0.0)
         with pytest.raises(ValueError):
@@ -306,12 +304,11 @@ class TestScheduleAndScore:
 
     def test_probability_flow_identity(self):
         rng = np.random.default_rng(9)
-        sched = LinearSchedule()
         for t in np.arange(0.1, 0.95, 0.1):
             x_data = rng.standard_normal(8)
             eps = rng.standard_normal(8)
             x_t, v = interpolate(x_data, eps, t)
-            f, g2 = sde_coefficients(sched, t)
+            f, g2 = sde_coefficients(t)
             score = velocity_to_score(v, x_t, t)
             lhs = f * x_t - 0.5 * g2 * score
             np.testing.assert_allclose(lhs, v, atol=1e-10)
