@@ -45,7 +45,7 @@ def main() -> None:
     run(["plan", "--checkpoint", ckpt, "--steps", str(args.sample_steps),
          "--share-ratio", "0.75", "--strategy", "dp",
          "--seed", str(args.seed), "--out", str(out / "plan_dp")])
-    run(["plan", "--similarity", str(out / "plan_dp" / "similarity.txt"),
+    run(["plan", "--similarity", str(out / "plan_dp" / "similarity.npy"),
          "--share-ratio", "0.75", "--strategy", "uniform",
          "--out", str(out / "plan_uniform")])
 

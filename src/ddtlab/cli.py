@@ -337,8 +337,8 @@ def cmd_plan(args) -> int:
     write_plan(plan_path, plan, checksum=similarity_checksum(sim))
     outputs = ["plan.txt"]
     if args.checkpoint is not None:
-        write_similarity(os.path.join(args.out, "similarity.txt"), sim)
-        outputs.append("similarity.txt")
+        write_similarity(os.path.join(args.out, "similarity.npy"), sim)
+        outputs.append("similarity.npy")
     _write_manifest(args.out, "plan", args.seed, inputs, outputs,
                     {"strategy": args.strategy, "budget": k, "steps": n,
                      "share_ratio": args.share_ratio})
@@ -395,8 +395,8 @@ def cmd_diagnose(args) -> int:
         with atomic_write(os.path.join(args.out, "similarity.csv")) as fh:
             for row in sim.S:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        write_similarity(os.path.join(args.out, "similarity.txt"), sim)
-        outputs.extend(["similarity.csv", "similarity.txt"])
+        write_similarity(os.path.join(args.out, "similarity.npy"), sim)
+        outputs.extend(["similarity.csv", "similarity.npy"])
 
     _write_manifest(args.out, "diagnose", args.seed, inputs, outputs,
                     {"dataset": args.dataset, "t_list": t_list,
@@ -462,9 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "CFG, so a guided run follows a nearby trajectory, not "
                     "the probed one.")
     p_plan.add_argument("--similarity", default=None,
-                        help="similarity matrix file")
+                        help="similarity matrix as a .npy file (square, "
+                             "float64, C order), e.g. the similarity.npy "
+                             "that plan --checkpoint writes")
     p_plan.add_argument("--checkpoint", default=None,
-                        help="probe this checkpoint instead")
+                        help="probe this checkpoint instead, and also "
+                             "write the matrix as similarity.npy")
     p_plan.add_argument("--seed", type=int, default=0)
     p_plan.add_argument("--steps", type=int, default=20,
                         help="probe grid size N (with --checkpoint)")
@@ -486,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--dataset", choices=DATASETS, default="bandlimited")
     p_diag.add_argument("--checkpoint", default=None,
                         help="also probe step similarity of this model "
-                             "(conditional, unguided field)")
+                             "(conditional, unguided field) and write it as "
+                             "similarity.csv and similarity.npy")
     p_diag.add_argument("--seed", type=int, default=0)
     p_diag.add_argument("--t-list", default="0.1,0.3,0.5,0.7,0.9",
                         help="comma-separated mixing times")

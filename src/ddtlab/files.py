@@ -4,7 +4,7 @@ reads, goes through one of these two context managers."""
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .errors import FormatError
 
@@ -14,12 +14,18 @@ __all__ = ["atomic_write", "open_text"]
 @contextmanager
 def atomic_write(path, binary: bool = False):
     """A handle on `<path>.tmp`, renamed over `path` once the block ends
-    without an exception, so a reader never sees a half-written file and a
-    write that fails leaves any earlier file whole."""
+    without an exception, so a reader never sees a half-written file. A
+    write that fails leaves any earlier file whole and removes the temp."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):  # never hide the error that got us here
+            os.unlink(tmp)
+        raise
 
 
 @contextmanager

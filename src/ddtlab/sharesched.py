@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
+import os
+import re
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -316,8 +318,12 @@ def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid,
 # file formats
 # ---------------------------------------------------------------------------
 
-_SIM_MAGIC = "ddtlab-similarity v1"
 _PLAN_MAGIC = "ddtlab-plan v1"
+# a .npy file, format version 1.0: magic, a little-endian uint16 header
+# length, then the header dict that numpy writes, padded with spaces
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+_NPY_HEADER = re.compile(rb"\{'descr': '([^']*)', 'fortran_order': (True|False), "
+                         rb"'shape': \(([0-9, ]*)\), \} *\n")
 
 
 def similarity_checksum(S) -> str:
@@ -326,45 +332,49 @@ def similarity_checksum(S) -> str:
 
 
 def write_similarity(path, S) -> None:
-    """Textual: magic line, N=..., then N rows of N floats (full precision,
-    so a round-trip is bit-exact)."""
-    s = _as_matrix(S)
-    with atomic_write(path) as fh:
-        fh.write(f"{_SIM_MAGIC}\n")
-        fh.write(f"N={s.shape[0]}\n")
-        for row in s:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    """A standard .npy file (little-endian float64, C order) at exactly
+    `path`, which `np.load` opens; a round trip is bit-exact."""
+    s = np.ascontiguousarray(_as_matrix(S), dtype="<f8")
+    with atomic_write(path, binary=True) as fh:
+        np.lib.format.write_array(fh, s, version=(1, 0), allow_pickle=False)
 
 
 def read_similarity(path) -> SimilarityMatrix:
-    """Read the write_similarity format: magic line, N=..., then N lines
-    of N numbers, the body parsed in one np.loadtxt pass over the open
-    file. Anything else raises FormatError."""
-    with open_text(path) as fh:
-        if fh.readline().rstrip("\n") != _SIM_MAGIC:
-            raise FormatError(f"not a similarity file: {path}")
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("N="):
-            raise FormatError("similarity file missing N header")
-        try:
-            n = int(header[2:])
-        except ValueError as exc:
-            raise FormatError(f"bad N header: {header!r}") from exc
-        if n < 1:
-            raise FormatError(f"bad N header: {header!r}")
-        with warnings.catch_warnings():
-            # an empty body only warns; the shape check below rejects it
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                s = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
-            except ValueError as exc:  # a non-numeric entry, a ragged row, or
-                # bytes that are not UTF-8 (UnicodeDecodeError)
-                raise FormatError(f"bad similarity body: {exc}") from exc
-    if s.shape != (n, n):
-        raise FormatError(f"expected {n * n} entries as {n} rows of {n}, "
-                          f"found {s.shape[0]} rows of {s.shape[1]}")
+    """Read a write_similarity file: the .npy magic and header, a square
+    2-D `<f8` C-order shape, exactly the bytes that shape needs (checked
+    against the file's size before anything is read), then the
+    SimilarityMatrix checks. Anything else raises FormatError."""
+    with open(path, "rb") as fh:
+        lead = fh.read(len(_NPY_MAGIC) + 2)
+        if len(lead) != len(_NPY_MAGIC) + 2 or not lead.startswith(_NPY_MAGIC):
+            raise FormatError(f"not a .npy similarity file: {path}")
+        (header_len,) = struct.unpack("<H", lead[-2:])
+        match = _NPY_HEADER.fullmatch(fh.read(header_len))
+        if match is None:
+            raise FormatError(f"bad .npy header in {path}")
+        descr, fortran, dims = match.groups()
+        if descr != b"<f8" or fortran != b"False":
+            raise FormatError(f"similarity must be '<f8' in C order, got "
+                              f"{descr.decode('latin-1')!r} with "
+                              f"fortran_order={fortran.decode()}")
+        shape = [d.strip() for d in dims.split(b",")]
+        if not shape[-1]:
+            shape.pop()  # the trailing comma of a 1-tuple, or ()
+        if len(shape) != 2 or not all(d.isdigit() and len(d) <= 20 for d in shape):
+            raise FormatError(f"similarity must be 2-D, got shape ({dims.decode()})")
+        n, m = int(shape[0]), int(shape[1])
+        if n != m or n < 1:
+            raise FormatError(f"similarity matrix must be square, got ({n}, {m})")
+        need = 8 * n * n  # Python ints, so a huge claimed shape cannot wrap
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need != left:
+            raise FormatError(f"similarity body of ({n}, {n}) needs {need} bytes, "
+                              f"file has {left}")
+        body = fh.read(need)
+    if len(body) != need:
+        raise FormatError(f"similarity file {path} truncated while reading")
     try:
-        return SimilarityMatrix(s)
+        return SimilarityMatrix(np.frombuffer(body, dtype="<f8").reshape(n, n))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

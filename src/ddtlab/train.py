@@ -356,10 +356,14 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.steps < 1 or self.batch < 1:
             raise UsageError("steps and batch must be positive")
-        if self.alignment_weight < 0:
-            raise UsageError("alignment_weight must be >= 0")
-        if self.lr <= 0:
-            raise UsageError("lr must be positive")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        # `not >=` and `not >` refuse NaN; isfinite refuses inf
+        if not (self.alignment_weight >= 0 and math.isfinite(self.alignment_weight)):
+            raise UsageError(f"alignment_weight must be a finite number >= 0, "
+                             f"got {self.alignment_weight}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise UsageError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 <= self.label_drop <= 1.0:
             raise UsageError("label_drop must lie in [0, 1]")
         if self.preset not in PRESETS:
@@ -384,8 +388,8 @@ _CONFIG_PARSERS = {
 
 
 def parse_train_config(text: str) -> TrainConfig:
-    """key=value lines; '#' starts a comment; unknown keys are errors that
-    name the offending field."""
+    """key=value lines; '#' starts a comment; an unknown or repeated key
+    is an error that names the offending field."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -398,6 +402,9 @@ def parse_train_config(text: str) -> TrainConfig:
         if key not in _CONFIG_PARSERS:
             raise UsageError(f"config line {lineno}: unknown key {key!r} "
                              f"(known: {', '.join(sorted(_CONFIG_PARSERS))})")
+        if key in values:
+            raise UsageError(f"config line {lineno}: key {key!r} given again "
+                             f"({raw.strip()!r})")
         try:
             values[key] = _CONFIG_PARSERS[key](value.strip())
         except ValueError as exc:

@@ -15,6 +15,7 @@ import pytest
 import ddtlab
 import ddtlab.cli as cli
 from ddtlab.cli import build_parser, main
+from ddtlab.files import atomic_write
 from ddtlab.model import DDTModel, ModelConfig, load_checkpoint, preset, save_checkpoint
 from ddtlab.sharesched import plan_uniform, write_plan, write_similarity
 
@@ -134,7 +135,12 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
     assert "wat" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("preset", "huge"), ("dataset", "nope")])
+@pytest.mark.parametrize("field, value", [
+    ("preset", "huge"), ("dataset", "nope"), ("seed", "-1"), ("lr", "nan"),
+    ("lr", "inf"), ("alignment_weight", "nan"), ("alignment_weight", "inf"),
+    # the key seed again, after the base config's seed=1
+    pytest.param("seed ", "5", id="seed-repeated"),
+])
 def test_train_bad_config_value_exits_2(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path / "config.txt", **{field: value})
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -409,10 +415,11 @@ def test_non_utf8_input_exits_3(tmp_path, tiny_ckpt, capsys, flag):
     # a 0xff byte in the header of a checkpoint, plan or similarity file,
     # or in a training config
     write_plan(tmp_path / "plan.txt", plan_uniform(4, 2))
+    write_similarity(tmp_path / "sim.npy", np.eye(1))
     good, marker = {
         "--checkpoint": (tiny_ckpt.read_bytes(), b"encoder_layers"),
         "--plan": ((tmp_path / "plan.txt").read_bytes(), b"N="),
-        "--similarity": (b"ddtlab-similarity v1\nN=1\n1\n", b"N="),
+        "--similarity": ((tmp_path / "sim.npy").read_bytes(), b"descr"),
         "--config": (write_config(tmp_path / "config.txt").read_bytes(), b"preset"),
     }[flag]
     at = good.index(marker)
@@ -525,7 +532,7 @@ def test_plan_probe_dp_vs_bruteforce(tmp_path, tiny_ckpt):
     dp_anchors = [l for l in dp_text.splitlines() if l.startswith("anchors=")][0]
     bf_anchors = [l for l in bf_text.splitlines() if l.startswith("anchors=")][0]
     assert dp_anchors == bf_anchors
-    assert (out_dp / "similarity.txt").exists()
+    assert (out_dp / "similarity.npy").exists()
 
 
 def test_plan_dp_dominates_uniform_in_files(tmp_path, tiny_ckpt):
@@ -534,11 +541,13 @@ def test_plan_dp_dominates_uniform_in_files(tmp_path, tiny_ckpt):
     assert main(["plan", "--checkpoint", str(tiny_ckpt), "--steps", "12",
                  "--probe-size", "4", "--budget", "4",
                  "--out", str(probe_out)]) == 0
-    sim = probe_out / "similarity.txt"
+    sim = probe_out / "similarity.npy"
 
     out_dp, out_uni = tmp_path / "dp", tmp_path / "uni"
     assert main(["plan", "--similarity", str(sim), "--budget", "4",
                  "--strategy", "dp", "--out", str(out_dp)]) == 0
+    # the file gives the plan that the in-memory probe gave
+    assert (out_dp / "plan.txt").read_bytes() == (probe_out / "plan.txt").read_bytes()
     assert main(["plan", "--similarity", str(sim), "--budget", "4",
                  "--strategy", "uniform", "--out", str(out_uni)]) == 0
 
@@ -586,11 +595,23 @@ def test_plan_needs_exactly_one_source(tmp_path):
     assert main(["plan", "--budget", "2", "--out", str(tmp_path / "o")]) == 2
 
 
-def test_plan_nonfinite_similarity_exits_3(tmp_path):
-    sim = tmp_path / "sim.txt"
-    sim.write_text("ddtlab-similarity v1\nN=2\n1 nan\nnan 1\n")
+def test_plan_nonfinite_similarity_exits_3(tmp_path, capsys):
+    sim = tmp_path / "sim.npy"
+    with open(sim, "wb") as fh:
+        np.save(fh, np.array([[1.0, np.nan], [np.nan, 1.0]]))
     assert main(["plan", "--similarity", str(sim), "--budget", "1",
                  "--out", str(tmp_path / "o")]) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_plan_text_similarity_exits_3(tmp_path, capsys):
+    # the retired text format is refused, not read by a second reader
+    sim = tmp_path / "similarity.txt"
+    sim.write_text("ddtlab-similarity v1\nN=2\n1 0.5\n0.5 1\n")
+    assert main(["plan", "--similarity", str(sim), "--budget", "1",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -619,6 +640,8 @@ def test_diagnose_spectra_and_similarity(tmp_path, tiny_ckpt):
     assert s.shape == (8, 8)
     assert np.allclose(np.diag(s), 1.0)
     assert np.allclose(s, s.T)
+    # the same matrix, bit for bit, as the .npy that plan --similarity reads
+    assert np.load(out / "similarity.npy").tobytes() == s.tobytes()
 
 
 def test_diagnose_dataset_only(tmp_path):
@@ -647,3 +670,15 @@ def test_no_leftover_temp_files(tmp_path, tiny_ckpt):
     assert main(["sample", "--checkpoint", str(tiny_ckpt), "--steps", "6",
                  "--num", "4", "--out", str(out)]) == 0
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_failed_write_leaves_no_temp_and_target_whole(tmp_path, binary):
+    path = tmp_path / "f"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_write(path, binary=binary) as fh:
+            fh.write(b"new" if binary else "new")
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]

@@ -4,7 +4,7 @@ executor is verified bit-exact against full sampling in the two cases
 where sharing provably changes nothing."""
 
 import re
-import warnings
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,49 +445,83 @@ def test_similarity_roundtrip_bit_exact(tmp_path):
     assert similarity_checksum(back) == similarity_checksum(s)
 
 
-@pytest.mark.parametrize("body, match", [
-    ("N=0\n", "bad N header"),
-    ("N=-2\n1 0\n0 1\n", "bad N header"),
-    ("N=2\n", "found 0 rows"),  # numpy only warns on an empty body
-    ("N=2\n1 0 0 1\n", "found 1 rows of 4"),  # the right count, not N rows of N
-    ("N=2\n1 0 0\n1\n", "bad similarity body"),  # ragged rows
-    ("N=2\n1 0\n# note\n0 1\n", "bad similarity body"),
-    ("N=2\n1 0 # note\n0 1\n", "bad similarity body"),
+def write_npy(path, body: bytes, descr="<f8", fortran_order=False, shape=(2, 2)):
+    """A .npy file whose header claims `descr`, `fortran_order` and `shape`,
+    whatever `body` holds."""
+    header = {"descr": descr, "fortran_order": fortran_order, "shape": shape}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        fh.write(body)
+
+
+EYE2 = np.eye(2).tobytes()
+
+
+@pytest.mark.parametrize("header, body, match", [
+    pytest.param({"shape": (4,)}, EYE2, "must be 2-D", id="1-d"),
+    pytest.param({"shape": (2, 2, 1)}, EYE2, "must be 2-D", id="3-d"),
+    pytest.param({"shape": ()}, EYE2[:8], "must be 2-D", id="0-d"),
+    pytest.param({"shape": (1, 4)}, EYE2, "must be square", id="not-square"),
+    pytest.param({"shape": (0, 0)}, b"", "must be square", id="empty"),
+    pytest.param({"descr": "<f4"}, np.eye(2, dtype="<f4").tobytes(), "'<f4'", id="float32"),
+    pytest.param({"descr": ">f8"}, np.eye(2).astype(">f8").tobytes(), "'>f8'",
+                 id="big-endian"),
+    pytest.param({"fortran_order": True}, EYE2, "fortran_order=True", id="fortran"),
+    pytest.param({}, EYE2[:-8], "needs 32 bytes, file has 24", id="one-short"),
+    pytest.param({}, EYE2 + EYE2[:8], "needs 32 bytes, file has 40", id="one-long"),
+    pytest.param({}, b"", "needs 32 bytes, file has 0", id="no-body"),
+    # 2**64 elements, a count that wraps to 0 in int64
+    pytest.param({"shape": (2**32, 2**32)}, EYE2, "needs 147573952589676412928 bytes",
+                 id="huge-claim"),
 ])
-def test_similarity_body_must_be_n_rows_of_n(tmp_path, body, match):
-    path = tmp_path / "sim.txt"
-    path.write_text("ddtlab-similarity v1\n" + body)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(FormatError, match=match):
+def test_similarity_header_must_match_body(tmp_path, header, body, match):
+    path = tmp_path / "sim.npy"
+    write_npy(path, body, **header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=re.escape(match)):
             read_similarity(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"read allocated {peak} bytes"
 
 
 def test_similarity_file_errors(tmp_path):
-    path = tmp_path / "sim.txt"
-    path.write_text("wrong header\n")
-    with pytest.raises(FormatError, match="not a similarity file"):
+    path = tmp_path / "sim.npy"
+    path.write_text("ddtlab-similarity v1\nN=2\n1 0\n0 1\n")  # the old text format
+    with pytest.raises(FormatError, match="not a .npy similarity file"):
         read_similarity(path)
-    path.write_text("ddtlab-similarity v1\nN=3\n1 0 0\n0 1 0\n")
-    with pytest.raises(FormatError, match="expected 9 entries"):
+    write_similarity(path, WORKED)
+    good = path.read_bytes()
+    for cut in (3, 9, 20):  # inside the magic, the header length, the header
+        path.write_bytes(good[:cut])
+        with pytest.raises(FormatError):
+            read_similarity(path)
+    path.write_bytes(good.replace(b"'descr'", b"'dtype'"))
+    with pytest.raises(FormatError, match="bad .npy header"):
         read_similarity(path)
-    path.write_text("ddtlab-similarity v1\nN=2\n1 0.5\n0.2 1\n")
+    write_npy(path, np.array([[1, 0.5], [0.2, 1]]).tobytes())
     with pytest.raises(FormatError, match="symmetric"):
         read_similarity(path)
-    path.write_text("ddtlab-similarity v1\nN=2\n1 nan\nnan 1\n")
+    write_npy(path, np.array([[1, np.nan], [np.nan, 1]]).tobytes())
     with pytest.raises(FormatError, match="finite"):
         read_similarity(path)
 
 
-@pytest.mark.parametrize("marker", [b"ddtlab", b"N=", b"1 0.9"])
-def test_similarity_file_not_utf8(tmp_path, marker):
+def test_similarity_file_is_npy_at_its_path(tmp_path):
+    # written to exactly the path given, even one ending in .txt, and
+    # readable by np.load; a matrix saved by np.save reads back too
     path = tmp_path / "sim.txt"
     write_similarity(path, WORKED)
-    good = path.read_bytes()
-    at = good.index(marker)
-    path.write_bytes(good[:at] + b"\xff" + good[at + 1:])
-    with pytest.raises(FormatError, match="UTF-8"):
-        read_similarity(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.txt"]
+    assert np.load(path).tobytes() == WORKED.tobytes()
+    with open(path, "wb") as fh:
+        np.save(fh, WORKED)
+    assert read_similarity(path).S.tobytes() == WORKED.tobytes()
+    # a transposed (Fortran-contiguous) matrix is still written in C order
+    write_similarity(path, WORKED.T)
+    assert read_similarity(path).S.tobytes() == WORKED.tobytes()
 
 
 def test_plan_roundtrip(tmp_path):
