@@ -3,8 +3,8 @@
 Subcommands: train | sample | plan | diagnose. Every command derives all
 randomness from --seed via named substreams, writes its primary outputs
 atomically (temp-and-rename), and drops a manifest.json recording inputs
-(with content checksums), outputs, and settings so a run can be audited
-and replayed.
+(with content checksums), outputs, settings and the run environment so
+a run can be audited and replayed.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
 failure.
@@ -27,7 +27,7 @@ from .errors import FormatError, NumericalError, UsageError
 from .files import atomic_write, open_text
 from .metrics import mmd_rbf, spectral_distance
 from .model import DDTModel, load_checkpoint, preset, save_checkpoint
-from .numcore import blas_threads, row_slices
+from .numcore import blas_threads, row_slices, worker_regions
 from .rng import substream
 from .samplers import GuidanceSpec, SOLVER_ORDERS, make_timegrid
 from .sharesched import (
@@ -86,11 +86,17 @@ def _load_model(path) -> tuple[DDTModel, dict[str, np.ndarray]]:
     return DDTModel.from_arrays(config, arrays), arrays
 
 
-def _environment(slices: int) -> dict:
+# the thread variables a manifest records as they were set
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment(slices: int | None, regions_before: int) -> dict:
     """What a run computed with: the CPUs it may use, the software, the
-    BLAS and its thread count, and the row slices (numcore.row_slices,
-    set by the batch size alone) each sampling field call or training
-    step was cut into."""
+    BLAS and its thread count, the thread variables, the row slices
+    (numcore.row_slices, set by the batch size alone) each model call or
+    training step was cut into (None when no model ran), and whether
+    slices ran in the worker process, i.e. whether numcore.worker_regions
+    rose above regions_before, its count when the command started."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # a numpy without the dict form
@@ -103,21 +109,22 @@ def _environment(slices: int) -> dict:
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
                  "threads": blas_threads()},
+        "thread_env": {name: os.environ.get(name) for name in _THREAD_VARS},
         "row_slices": slices,
+        "slice_worker": worker_regions() > regions_before,
     }
 
 
 def _write_manifest(out_dir: str, command: str, seed: int, inputs: list,
-                    outputs: list[str], settings: dict, environment: dict | None = None) -> None:
+                    outputs: list[str], settings: dict, environment: dict) -> None:
     manifest = {
         "command": command,
         "seed": seed,
         "inputs": {str(p): _checksum_file(p) for p in inputs},
         "outputs": sorted(outputs),
         "settings": settings,
+        "environment": environment,
     }
-    if environment is not None:
-        manifest["environment"] = environment
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
@@ -127,6 +134,7 @@ def _write_manifest(out_dir: str, command: str, seed: int, inputs: list,
 
 
 def cmd_train(args) -> int:
+    regions = worker_regions()
     with open_text(args.config) as fh:
         config = parse_train_config(fh.read())
     if args.seed is not None:
@@ -176,7 +184,7 @@ def cmd_train(args) -> int:
                      "batch": config.batch, "dataset": config.dataset,
                      "alignment_weight": config.alignment_weight,
                      "lr": config.lr, "start_step": start_step},
-                    _environment(row_slices(config.batch)))
+                    _environment(row_slices(config.batch), regions))
     last = history[-1]
     print(f"trained {config.steps - start_step} steps; "
           f"loss_dec {last.loss_dec:.4f} loss_enc {last.loss_enc:.4f}")
@@ -197,6 +205,7 @@ def _budget_from_ratio(num_steps: int, ratio: float) -> int:
 
 
 def cmd_sample(args) -> int:
+    regions = worker_regions()
     a, b = args.cfg_interval
     if not 0.0 <= a < b <= 1.0:
         raise UsageError(f"--cfg-interval needs 0 <= a < b <= 1, got {a} {b}")
@@ -229,8 +238,6 @@ def cmd_sample(args) -> int:
                                                 size=args.num)
 
     model.reset_counters()
-    # every field call of the run is at batch args.num
-    environment = _environment(row_slices(args.num))
     samples = sample_with_sharing(model, x0, grid, plan, y,
                                   guidance=guidance, solver=args.solver)
     expected_k = args.steps if plan is None else plan.K
@@ -272,7 +279,7 @@ def cmd_sample(args) -> int:
                      "dataset": args.dataset,
                      "share_ratio": args.share_ratio,
                      "plan": args.plan},
-                    environment)
+                    _environment(row_slices(args.num), regions))
     print(f"sampled {args.num}; mmd {report['mmd']:.4f} "
           f"(noise baseline {report['mmd_noise_baseline']:.4f}); "
           f"nfe enc/dec {model.nfe_encoder}/{model.nfe_decoder}")
@@ -297,7 +304,13 @@ def _probe_checkpoint(args) -> SimilarityMatrix:
     return probe_similarity(model, x0, grid, y, solver=args.solver)
 
 
+def _probe_slices(args) -> int | None:
+    """The row slices of a probe's field calls, or None when no probe ran."""
+    return None if args.checkpoint is None else row_slices(args.probe_size)
+
+
 def cmd_plan(args) -> int:
+    regions = worker_regions()
     if (args.similarity is None) == (args.checkpoint is None):
         raise UsageError("provide exactly one of --similarity or --checkpoint")
 
@@ -341,7 +354,8 @@ def cmd_plan(args) -> int:
         outputs.append("similarity.npy")
     _write_manifest(args.out, "plan", args.seed, inputs, outputs,
                     {"strategy": args.strategy, "budget": k, "steps": n,
-                     "share_ratio": args.share_ratio})
+                     "share_ratio": args.share_ratio},
+                    _environment(_probe_slices(args), regions))
     print(f"plan {args.strategy}: K={plan.K}/{n}, utility {plan.utility:.6f}, "
           f"anchors {','.join(str(v) for v in plan.anchors)}")
     return 0
@@ -360,6 +374,7 @@ def _data_profile(dataset, rng: np.random.Generator, trials: int) -> SpectrumPro
 
 
 def cmd_diagnose(args) -> int:
+    regions = worker_regions()
     t_list = []
     for token in args.t_list.split(","):
         try:
@@ -400,7 +415,8 @@ def cmd_diagnose(args) -> int:
 
     _write_manifest(args.out, "diagnose", args.seed, inputs, outputs,
                     {"dataset": args.dataset, "t_list": t_list,
-                     "trials": args.trials, "steps": args.steps})
+                     "trials": args.trials, "steps": args.steps},
+                    _environment(_probe_slices(args), regions))
     print(f"wrote {len(outputs)} diagnostic files to {args.out}")
     return 0
 

@@ -322,7 +322,8 @@ class DDTModel:
     teacher lives in `teacher` (name -> ndarray) and never enters any
     gradient computation. nfe_encoder / nfe_decoder count forward calls,
     one per batched invocation; a call whose batch ran as row slices on
-    views (with_new_leaves) counts once (add_slice_counts).
+    copies (with_new_leaves, or pickled to parallel_calls' worker) counts
+    once (add_slice_counts).
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -383,22 +384,29 @@ class DDTModel:
         for p in self.params.values():
             p.grad = None
 
+    def __getstate__(self) -> dict:
+        # a model crosses a copy or a pickle as its config and arrays
+        return {"config": self.config, "teacher": self.teacher,
+                "params": {name: p.data for name, p in self.params.items()}}
+
+    def __setstate__(self, state: dict) -> None:
+        self.config, self.teacher = state["config"], state["teacher"]
+        self.params = {name: Tensor(data, requires_grad=True)
+                       for name, data in state["params"].items()}
+        self.reset_counters()
+
     def with_new_leaves(self) -> "DDTModel":
         """This model with fresh parameter leaves over the same arrays and
         its counters at zero: a graph built on it fills the new leaves'
         grad, never this model's, and an in-place update of this model's
-        arrays is seen by both."""
-        view = copy.copy(self)
-        view.params = {name: Tensor(p.data, requires_grad=True)
-                       for name, p in self.params.items()}
-        view.reset_counters()
-        return view
+        arrays is seen by both. A pickled model arrives the same way."""
+        return copy.copy(self)
 
-    def add_slice_counts(self, views) -> None:
-        """Count a call that ran as row slices on `views` once: every slice
-        makes the same calls, so slice 0's counts are the call's."""
-        self.nfe_encoder += views[0].nfe_encoder
-        self.nfe_decoder += views[0].nfe_decoder
+    def add_slice_counts(self, counts: tuple[int, int]) -> None:
+        """Count a call that ran as row slices once, given one slice's
+        (nfe_encoder, nfe_decoder): every slice makes the same calls."""
+        self.nfe_encoder += counts[0]
+        self.nfe_decoder += counts[1]
 
     def reset_counters(self) -> None:
         self.nfe_encoder = 0

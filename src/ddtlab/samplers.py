@@ -232,37 +232,28 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
 
     Each call cuts x and y into numcore.row_slices(B) contiguous row
     slices. A slice runs its encodes, decodes and guidance branch on its
-    own model view (with_new_leaves) with its own z, all slices in one
-    numcore.parallel_calls region. v and the z given to on_encode are
-    joined in slice order, and the call counts once on the model's NFE
-    counters. The slices depend on B alone, so v does not depend on the
-    thread count."""
+    own model copy (with_new_leaves) with its own z, all slices in one
+    numcore.parallel_calls region (_run_slice). The field keeps each
+    slice's z between anchors and hands it back on the calls that reuse
+    it. v and the z given to on_encode are joined in slice order, and the
+    call counts once on the model's NFE counters. The slices depend on B
+    alone, so v does not depend on the thread count."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    null = model.config.null_class
-    held: list[dict] = []  # per slice, the z of each branch
-
-    def run_slice(view, x, t, y_rows, z, encode):
-        if encode:
-            z["c"], _ = view.encode(x, t, y_rows)
-            if guidance is not None:
-                z["u"], _ = view.encode(x, t, np.full_like(y_rows, null))
-        v = view.decode(x, t, z["c"]).data
-        if guidance is not None:
-            v = guided_velocity(v, view.decode(x, t, z["u"]).data, guidance, t)
-        return v
+    held: list[dict | None] = []  # per slice, the z of each branch
 
     def field(x: np.ndarray, t: float) -> np.ndarray:
         encode = anchor_times is None or float(t) in anchor_times
         edges = slice_edges(len(x))
         if encode:
-            held[:] = [{} for _ in edges[1:]]
+            held[:] = [None] * (len(edges) - 1)
         y_rows = np.broadcast_to(y, (len(x),))
         views = [model.with_new_leaves() for _ in held]
         with no_grad():
-            vs = parallel_calls([
-                partial(run_slice, view, x[lo:hi], t, y_rows[lo:hi], z, encode)
+            results = parallel_calls([
+                partial(_run_slice, view, x[lo:hi], t, y_rows[lo:hi], guidance, z)
                 for view, z, lo, hi in zip(views, held, edges, edges[1:])])
-        model.add_slice_counts(views)
+        model.add_slice_counts((views[0].nfe_encoder, views[0].nfe_decoder))
+        vs, held[:] = zip(*results)
         if encode and on_encode is not None:
             on_encode(np.concatenate([z["c"].data for z in held]))
         if anchor_times is None:
@@ -270,3 +261,18 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
         return np.concatenate(vs)
 
     return field
+
+
+def _run_slice(view, x, t, y, guidance: GuidanceSpec | None, z: dict | None):
+    """One row slice of a field call on its own model copy: (v, z), where
+    z holds the encoder's output for the conditional branch ("c") and,
+    with guidance, the null-class branch ("u"). Given z, the call reuses
+    it and the encoder does not run."""
+    if z is None:
+        z = {"c": view.encode(x, t, y)[0]}
+        if guidance is not None:
+            z["u"] = view.encode(x, t, np.full_like(y, view.config.null_class))[0]
+    v = view.decode(x, t, z["c"]).data
+    if guidance is not None:
+        v = guided_velocity(v, view.decode(x, t, z["u"]).data, guidance, t)
+    return v, z

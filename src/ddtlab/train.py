@@ -220,14 +220,18 @@ def read_count(arrays: dict[str, np.ndarray], key: str) -> int:
 
 
 def _slice_step(model: DDTModel, batch: TrainBatch, alignment_weight: float,
-                share: float) -> tuple[tuple[float, float, float], DDTModel]:
+                share: float) -> tuple[tuple[float, float, float],
+                                       dict[str, np.ndarray | None], tuple[int, int]]:
     """loss_terms and backward for one slice of a batch on fresh parameter
     leaves, its total scaled by the slice's share of the batch's rows:
-    (the scaled loss_dec, loss_enc and total; the leaves' model)."""
+    (the scaled loss_dec, loss_enc and total; the leaves' grads by name;
+    the slice's (nfe_encoder, nfe_decoder))."""
     view = model.with_new_leaves()
     loss_dec, loss_enc, total = loss_terms(view, batch, alignment_weight)
     (total * share).backward()
-    return (share * loss_dec.item(), share * loss_enc.item(), share * total.item()), view
+    grads = {name: p.grad for name, p in view.named_parameters()}
+    return ((share * loss_dec.item(), share * loss_enc.item(), share * total.item()),
+            grads, (view.nfe_encoder, view.nfe_decoder))
 
 
 def _batch_rows(batch: TrainBatch, lo: int, hi: int) -> TrainBatch:
@@ -247,7 +251,8 @@ def train_step(model: DDTModel, optimizer: Adam, batch: TrainBatch,
     halves, rows // 2 and then the rest, from numcore.SPLIT_MIN_ROWS up;
     else the whole batch) through numcore.parallel_calls. Each slice
     builds and differentiates its own graph on its own parameter leaves,
-    with its total scaled by its share of the rows. The model's grad is
+    with its total scaled by its share of the rows, and returns the
+    leaves' grads, not the graph. The model's grad is
     then the slices' grads added in slice order, and the reported losses
     are the same weighted sums. The NFE counters count the step once. One
     slice has share 1.0, which scales exactly, so a batch under
@@ -264,10 +269,10 @@ def train_step(model: DDTModel, optimizer: Adam, batch: TrainBatch,
         partial(_slice_step, model, _batch_rows(batch, lo, hi), alignment_weight,
                 (hi - lo) / rows)
         for lo, hi in zip(edges, edges[1:])])
-    losses, views = zip(*results)
+    losses, grads, counts = zip(*results)
     for name, p in model.named_parameters():
-        p.grad = reduce(_sum_grads, (view.params[name].grad for view in views))
-    model.add_slice_counts(views)
+        p.grad = reduce(_sum_grads, (slice_grads[name] for slice_grads in grads))
+    model.add_slice_counts(counts[0])
     losses = [reduce(operator.add, terms) for terms in zip(*losses)]
     report = LossReport(*losses, alignment_weight=float(alignment_weight))
     squares = 0.0

@@ -20,6 +20,12 @@ from ddtlab.model import DDTModel, ModelConfig, load_checkpoint, preset, save_ch
 from ddtlab.sharesched import plan_uniform, write_plan, write_similarity
 
 
+# what every manifest's "environment" holds
+ENVIRONMENT_KEYS = {"cpus", "python", "numpy", "blas", "thread_env", "row_slices",
+                    "slice_worker"}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -85,8 +91,9 @@ def test_train_writes_artifacts_and_is_deterministic(tmp_path):
     assert len(rows) == 7
     assert all(float(r.split(",")[5]) > 0.0 for r in rows[1:])  # step_ms
     env = manifest["environment"]
-    assert set(env) == {"cpus", "python", "numpy", "blas", "row_slices"}
+    assert set(env) == ENVIRONMENT_KEYS
     assert env["row_slices"] == 1  # a batch of 4 trains as one graph
+    assert env["slice_worker"] is False
 
 
 def test_train_resume_is_bit_exact_and_spike_free(tmp_path):
@@ -264,11 +271,49 @@ def test_sample_manifest_records_environment(tmp_path, tiny_ckpt):
     assert main(["sample", "--checkpoint", str(tiny_ckpt), "--steps", "2",
                  "--num", "4", "--out", str(out)]) == 0
     env = json.loads((out / "manifest.json").read_text())["environment"]
-    assert set(env) == {"cpus", "python", "numpy", "blas", "row_slices"}
+    assert set(env) == ENVIRONMENT_KEYS
     assert set(env["blas"]) == {"name", "version", "threads"}
     assert env["cpus"] >= 1
     assert env["numpy"] == np.__version__
     assert env["row_slices"] == 1  # 4 rows are too few to split
+    assert env["slice_worker"] is False
+    assert env["thread_env"] == {name: os.environ.get(name) for name in THREAD_VARS}
+
+
+@pytest.mark.parametrize("command", ["plan", "diagnose"])
+def test_plan_and_diagnose_manifests_record_environment(tmp_path, tiny_ckpt, command):
+    probe = ["--checkpoint", str(tiny_ckpt), "--steps", "4", "--probe-size", "4"]
+    extra = ["--budget", "2"] if command == "plan" else ["--t-list", "0.5", "--trials", "50"]
+    out = tmp_path / command
+    assert main([command, *probe, *extra, "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == ENVIRONMENT_KEYS
+    assert env["row_slices"] == 1  # the probe batch of 4
+    assert env["slice_worker"] is False
+    if command == "diagnose":  # no probe, no model call
+        out = tmp_path / "dataset-only"
+        assert main(["diagnose", *extra, "--out", str(out)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["row_slices"] is None
+
+
+def test_manifest_records_thread_variables_and_the_slice_worker(tmp_path, tiny_ckpt):
+    """A 32-row sample: its slices run in the worker process with the
+    default BLAS threads (when there are two or more), not with one."""
+    runs = {"default": {}, "one": {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3"}}
+    envs = {}
+    for name, thread_env in runs.items():
+        out = tmp_path / name
+        _cli_in_subprocess(["sample", "--checkpoint", str(tiny_ckpt), "--steps", "1",
+                            "--num", "32", "--out", str(out)], thread_env)
+        envs[name] = json.loads((out / "manifest.json").read_text())["environment"]
+    one, default = envs["one"], envs["default"]
+    assert one["thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                 "MKL_NUM_THREADS": "3"}
+    assert default["thread_env"]["OPENBLAS_NUM_THREADS"] is None
+    assert one["row_slices"] == default["row_slices"] == 2
+    assert one["slice_worker"] is False
+    assert default["slice_worker"] == ((default["blas"]["threads"] or 0) > 1)
 
 
 def _cli_in_subprocess(args: list[str], thread_env: dict) -> None:

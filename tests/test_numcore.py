@@ -7,9 +7,16 @@ properties (orthonormality, energy preservation). Each test draws from its own s
 adding or removing a test changes no other test's inputs.
 """
 
+import ctypes
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
+from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -261,51 +268,123 @@ class TestAutodiff:
         assert not z.requires_grad
 
 
+# Calls for parallel_calls: module-level, so they can cross to the worker.
+
+def _blas_threads_inside(k):
+    return numcore.blas_threads()
+
+
+def _fail_if_bad(k, bad):
+    if k == bad:
+        raise LookupError(f"slice {k} failed")
+    return k
+
+
+def _exp(x):
+    return np.exp(x)
+
+
+def _double(x):
+    return x * 2.0
+
+
+def _mode_and_double(x):
+    return numcore.is_grad_enabled(), x * 2.0
+
+
+def _mode_and_scaled_sum(a, k):
+    return numcore.is_grad_enabled(), float((a * k).sum())
+
+
+def _fill_and_sum(a):
+    a[:] = 7.0
+    return float(a.sum())
+
+
+def _sleep_then(k, seconds):
+    time.sleep(seconds)
+    return k
+
+
+def _exit_process(k):
+    os._exit(3)
+
+
+_PR_SET_CHILD_SUBREAPER = 36  # prctl option, linux/prctl.h
+
+
+def _exits_within(pid: int, seconds: float) -> bool:
+    """Whether process pid ends within seconds: it is gone or a zombie,
+    and reaped here if it is this process's child (an orphan that came
+    to this process)."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            ended = "\nState:\tZ" in Path(f"/proc/{pid}/status").read_text()
+        except OSError:
+            return True
+        if ended:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # another process's child
+                pass
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def _needs_worker():
+    threads = numcore.blas_threads()
+    if threads is None or threads < 2:
+        pytest.skip("row slices run in a worker only with two or more BLAS threads")
+
+
 class TestRowParallel:
     """numcore.parallel_calls, the one region that the row slices of a
-    field call or a training step run in."""
+    field call or a training step run in: calls[0] in the caller, the
+    others in one worker process when BLAS has two or more threads."""
 
     def test_blas_threads_restored_also_when_a_slice_raises(self):
         before = numcore.blas_threads()
         if before is None:
             pytest.skip("no OpenBLAS thread control in this process")
-        inside = []
-
-        def call():
-            inside.append(numcore.blas_threads())
-
-        numcore.parallel_calls([call, call])
+        inside = numcore.parallel_calls([partial(_blas_threads_inside, k) for k in (0, 1)])
         assert inside == ([1, 1] if before > 1 else [before, before])
         assert numcore.blas_threads() == before
-        for bad in (0, 1):  # the caller's call, then a worker's
-
-            def failing(k, bad=bad):
-                if k == bad:
-                    raise RuntimeError("slice failed")
-                return k
-
-            with pytest.raises(RuntimeError, match="slice failed"):
-                numcore.parallel_calls([lambda: failing(0), lambda: failing(1)])
+        for bad in (0, 1):  # the caller's call, then the worker's
+            with pytest.raises(LookupError) as raised:
+                numcore.parallel_calls([partial(_fail_if_bad, k, bad) for k in (0, 1)])
+            assert str(raised.value) == f"slice {bad} failed"
             assert numcore.blas_threads() == before
+        assert numcore.parallel_calls([partial(_fail_if_bad, k, 2) for k in (0, 1)]) == [0, 1]
 
     def test_workers_run_under_the_callers_errstate(self):
-        big = np.array([0.0, 0.0, 1e4, 1e4])  # overflows in the second call only
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            numcore.parallel_calls([lambda: np.exp(big[:2]), lambda: np.exp(big[2:])])
+        for overflowing in (0, 1):  # the caller's call, then the worker's
+            big = np.zeros((2, 2))
+            big[overflowing] = 1e4
+            calls = [partial(_exp, big[0]), partial(_exp, big[1])]
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                numcore.parallel_calls(calls)
+            with np.errstate(over="ignore"):
+                out = numcore.parallel_calls(calls)
+            assert np.all(out[overflowing] == np.inf)
 
     def test_concurrent_callers_serialise(self):
         # more callers than cores, switching often: every result must be
-        # whole and the BLAS thread count restored once all are done
+        # whole and the BLAS thread count restored once all are done. The
+        # first region runs before the threads start, so the threads all
+        # share one worker that is already up.
         before = numcore.blas_threads()
         wrong = []
 
         def caller(k):
             for _ in range(40):
                 a = np.arange(8.0) + k
-                halves = numcore.parallel_calls([lambda: a[:4] * 2.0, lambda: a[4:] * 2.0])
+                halves = numcore.parallel_calls([partial(_double, a[:4]), partial(_double, a[4:])])
                 if not np.array_equal(np.concatenate(halves), a * 2.0):
                     wrong.append(k)
 
+        caller(-1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -322,27 +401,119 @@ class TestRowParallel:
 
     def test_slice_workers_build_no_graph(self):
         x = Tensor(np.ones((4, 3)), requires_grad=True)
-        modes = []
-
-        def call():
-            modes.append(numcore.is_grad_enabled())
-            return x * 2.0
-
         with no_grad():
-            outs = numcore.parallel_calls([call, call])
-        assert modes == [False, False]
-        assert not any(out.requires_grad for out in outs)
+            results = numcore.parallel_calls([partial(_mode_and_double, x)] * 2)
+        assert [mode for mode, _ in results] == [False, False]
+        assert not any(out.requires_grad for _, out in results)
+        assert all(np.array_equal(out.data, np.full((4, 3), 2.0)) for _, out in results)
 
     def test_parallel_calls_keep_order_and_the_callers_grad_mode(self):
-        w = Tensor(np.arange(3.0), requires_grad=True)
-        calls = [lambda k=k: ((w * float(k)).sum(), numcore.is_grad_enabled())
-                 for k in (1, 2, 3)]
-        results = numcore.parallel_calls(calls)
-        assert [mode for _, mode in results] == [True] * 3
-        assert [float(out.data) for out, _ in results] == [3.0, 6.0, 9.0]
-        assert all(out.requires_grad for out, _ in results)
+        a = np.arange(3.0)
+        calls = [partial(_mode_and_scaled_sum, a, k) for k in (1, 2, 3)]
+        assert numcore.parallel_calls(calls) == [(True, 3.0), (True, 6.0), (True, 9.0)]
         with no_grad():
-            assert numcore.parallel_calls(calls[:2])[1][1] is False
+            assert numcore.parallel_calls(calls[:2]) == [(False, 3.0), (False, 6.0)]
+
+    def test_a_tensor_with_a_graph_never_crosses(self):
+        _needs_worker()
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        with pytest.raises(TypeError, match="autodiff graph"):  # a result
+            numcore.parallel_calls([partial(_double, x)] * 2)
+        with pytest.raises(TypeError, match="autodiff graph"):  # an argument
+            numcore.parallel_calls([partial(_double, x)] * 2 + [partial(_double, x * 1.0)])
+        assert numcore.parallel_calls([partial(_double, 1.0)] * 2) == [2.0, 2.0]
+
+    def test_a_worker_call_sees_a_copy_of_its_arguments(self):
+        _needs_worker()
+        a, b = np.zeros(4), np.zeros(4)
+        assert numcore.parallel_calls([partial(_fill_and_sum, a),
+                                       partial(_fill_and_sum, b)]) == [28.0, 28.0]
+        assert np.all(a == 7.0)  # calls[0] ran in the caller, on a itself
+        assert np.all(b == 0.0)
+
+    def test_an_interrupted_region_leaves_no_stale_reply(self):
+        # the interrupt lands while the caller waits for the worker's reply,
+        # which is then never read; the next region must get its own
+        _needs_worker()
+        numcore.parallel_calls([partial(_double, 0.0)] * 2)  # the worker is up
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(KeyboardInterrupt):
+                numcore.parallel_calls([partial(_sleep_then, "first", 0.0),
+                                        partial(_sleep_then, "stale", 1.0)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert numcore.parallel_calls([partial(_sleep_then, k, 0.0)
+                                       for k in ("a", "b")]) == ["a", "b"]
+
+    def test_a_dying_worker_is_an_error_and_the_next_region_starts_anew(self):
+        _needs_worker()
+        with pytest.raises(RuntimeError, match="worker process .* died"):
+            numcore.parallel_calls([partial(_double, 1.0), partial(_exit_process, 1)])
+        assert numcore.parallel_calls([partial(_double, k) for k in (1.0, 2.0)]) == [2.0, 4.0]
+
+    def test_a_forked_child_starts_its_own_worker(self):
+        _needs_worker()
+        numcore.parallel_calls([partial(_double, 0.0)] * 2)  # the worker is up
+        pid = os.fork()
+        if pid == 0:  # the child: never return into the test runner
+            status = 1
+            try:
+                if numcore.parallel_calls([partial(_double, k) for k in (1.0, 2.0)]) == [2.0, 4.0]:
+                    status = 0
+                numcore._stop_worker()
+            finally:
+                os._exit(status)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert numcore.parallel_calls([partial(_double, k) for k in (3.0, 4.0)]) == [6.0, 8.0]
+
+    @pytest.mark.parametrize("end", ["exit", "kill"])
+    def test_no_worker_outlives_its_parent(self, end):
+        """A process runs one 64-row field call, prints its worker's pid
+        and exits, or is killed. Either way the worker has exited within
+        seconds, and reading the process's stdout and stderr to their end
+        returns, so the worker held neither. This test process is a child
+        subreaper meanwhile, so an orphaned worker comes to it and is
+        reaped here, not left a zombie under an init that may not reap."""
+        _needs_worker()
+        code = (
+            "import os, sys, time, numpy as np\n"
+            "from ddtlab.model import DDTModel, preset\n"
+            "from ddtlab.samplers import model_velocity_field\n"
+            "model = DDTModel(preset('desk'), seed=0)\n"
+            "c = model.config\n"
+            "x = np.zeros((64, c.channels, c.image_size, c.image_size))\n"
+            "model_velocity_field(model, 1)(x, 0.5)\n"
+            "print(open(f'/proc/self/task/{os.getpid()}/children').read(), flush=True)\n"
+            "if sys.argv[1] == 'kill':\n"
+            "    time.sleep(120)\n")
+        env = dict(os.environ)
+        src = str(Path(numcore.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        prctl = ctypes.CDLL(None).prctl
+        subreaper = prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) == 0
+        try:
+            proc = subprocess.Popen([sys.executable, "-c", code, end], env=env, text=True,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            try:
+                children = proc.stdout.readline().split()
+                if end == "kill":
+                    proc.kill()
+                proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+                proc.wait()
+            assert len(children) == 1, children
+            assert _exits_within(int(children[0]), 10.0), f"worker alive after {end}"
+        finally:
+            if subreaper:
+                prctl(_PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
 
     def test_model_call_restores_blas_threads(self):
         from ddtlab.model import DDTModel, preset
@@ -550,6 +721,8 @@ class ScriptedEncoder:
     decoder returns zero velocity. A probe batch runs as one row slice,
     on the stand-in itself."""
 
+    nfe_encoder = nfe_decoder = 0
+
     def __init__(self, z):
         self.z = iter(z)
         self.config = SimpleNamespace(null_class=0)
@@ -557,7 +730,7 @@ class ScriptedEncoder:
     def with_new_leaves(self):
         return self
 
-    def add_slice_counts(self, views):
+    def add_slice_counts(self, counts):
         pass
 
     def encode(self, x, t, y):
