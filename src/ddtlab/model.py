@@ -17,7 +17,6 @@ the encoder a stable per-token regression target without external weights.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import struct
@@ -321,9 +320,8 @@ class DDTModel:
     Weights live in `params` (name -> Tensor, requires_grad). The frozen
     teacher lives in `teacher` (name -> ndarray) and never enters any
     gradient computation. nfe_encoder / nfe_decoder count forward calls,
-    one per batched invocation; a call whose batch ran as row slices on
-    copies (with_new_leaves, or pickled to parallel_calls' worker) counts
-    once (add_slice_counts).
+    one per batched invocation. A pickled model is rebuilt by from_arrays,
+    with fresh leaves and its counters at zero.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -384,29 +382,8 @@ class DDTModel:
         for p in self.params.values():
             p.grad = None
 
-    def __getstate__(self) -> dict:
-        # a model crosses a copy or a pickle as its config and arrays
-        return {"config": self.config, "teacher": self.teacher,
-                "params": {name: p.data for name, p in self.params.items()}}
-
-    def __setstate__(self, state: dict) -> None:
-        self.config, self.teacher = state["config"], state["teacher"]
-        self.params = {name: Tensor(data, requires_grad=True)
-                       for name, data in state["params"].items()}
-        self.reset_counters()
-
-    def with_new_leaves(self) -> "DDTModel":
-        """This model with fresh parameter leaves over the same arrays and
-        its counters at zero: a graph built on it fills the new leaves'
-        grad, never this model's, and an in-place update of this model's
-        arrays is seen by both. A pickled model arrives the same way."""
-        return copy.copy(self)
-
-    def add_slice_counts(self, counts: tuple[int, int]) -> None:
-        """Count a call that ran as row slices once, given one slice's
-        (nfe_encoder, nfe_decoder): every slice makes the same calls."""
-        self.nfe_encoder += counts[0]
-        self.nfe_decoder += counts[1]
+    def __reduce__(self):
+        return DDTModel.from_arrays, (self.config, self.state_arrays())
 
     def reset_counters(self) -> None:
         self.nfe_encoder = 0
@@ -612,6 +589,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             if "=" not in line:
                 raise FormatError(f"malformed header line {line!r}")
             key, _, value = line.partition("=")
+            if key.strip() in fields:
+                raise FormatError(f"checkpoint header repeats key {key.strip()!r}")
             fields[key.strip()] = value.strip()
         style = fields.get(_STYLE_KEY)
         if style != _STYLE:
@@ -632,6 +611,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
                 raise FormatError("checkpoint truncated in block header")
             (name_len,) = struct.unpack("<I", head)
             name = _decode(_read_exact(fh, name_len, "block name"), "block name")
+            if name in arrays:
+                raise FormatError(f"checkpoint repeats block {name!r}")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
             if rank > 16:
                 raise FormatError(f"block {name!r} has implausible rank {rank}")

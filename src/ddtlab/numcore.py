@@ -37,13 +37,14 @@ with BLAS held at one thread in both meanwhile. Most of a block's time
 is elementwise numpy work that holds the GIL between array passes, so a
 second process, not a thread, is what puts the second core to work on
 every part of it, not just the GEMMs. The calls are pure and
-module-level: a call in the worker sees copies of its arguments (arrays
-cross through a shared memory arena) and returns its results the same
-way. Its two callers cut a batch into ``row_slices(rows)`` contiguous
-slices, a count set by the batch size alone, and run each slice on its
-own model copy: a sampling field call (samplers.model_velocity_field)
-and a training step (train.train_step). The model itself knows nothing
-about processes.
+module-level. The first runs on the caller's own objects and every other
+on copies of its arguments: in the worker, copies that crossed through a
+shared memory arena (its results come back the same way); in the
+caller, fresh objects over the caller's arrays. Its two callers cut a
+batch into ``row_slices(rows)`` contiguous slices, a count set by the
+batch size alone, and pass each slice the model itself: a sampling field
+call (samplers.model_velocity_field) and a training step
+(train.train_step). The model knows nothing about slices or processes.
 
 Also home to the orthonormal type-II DCT basis used across the package
 (spectral.dct2 applies it along both image axes as two matrix products,
@@ -420,34 +421,50 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker_in_child)
 
 
+def _copied(call: Callable[[], object]) -> Callable[[], object]:
+    """call over fresh objects that share the caller's arrays: a pickle
+    round trip (protocol 5) whose contiguous arrays stay out of band."""
+    buffers: list[pickle.PickleBuffer] = []
+    stream = pickle.dumps(call, protocol=5, buffer_callback=buffers.append)
+    return pickle.loads(stream, buffers=buffers)
+
+
 def parallel_calls(calls: Sequence[Callable[[], object]]) -> list:
     """[call() for call in calls], run side by side when BLAS has threads
     to spare, for pure calls of module-level functions.
 
-    With more than one BLAS thread, the caller runs calls[0] and one
-    worker process runs the others, one after another. The worker, a
-    fresh interpreter on the caller's import path, is started on the
-    first such region and lives as long as the caller. A call that runs
-    there sees copies of its arguments, and only its return value comes
-    back; a Tensor that carries a graph crosses neither way. Its function
-    must be importable by name, so not one defined in __main__. The
-    caller's grad mode and np.errstate hold in the worker too. The worker
-    imports the code afresh, so a function patched in the caller (a
-    test's monkeypatch, a tracer) is patched only there. Meanwhile
-    BLAS runs on one thread in both processes, so they never run more
-    compute threads than BLAS was allowed; the count is restored
+    calls[0] runs on the caller's own objects, every later call on
+    copies of its arguments made before calls[0] runs: what a later call
+    does to them (an NFE count, a leaf's grad) stays there, and only its
+    return value comes back. A Tensor that carries a graph cannot be
+    copied, so passing one to a later call raises TypeError (in the
+    worker, so does returning one). A later call's function must be
+    importable by name, so not one defined in __main__.
+
+    With more than one BLAS thread, one worker process runs the later
+    calls, one after another, on full copies while the caller runs
+    calls[0]. The worker, a fresh interpreter on the caller's import
+    path, is started on the first such region and lives as long as the
+    caller. The caller's grad mode and np.errstate hold in the worker
+    too. The worker imports the code afresh, so a function patched in
+    the caller (a test's monkeypatch, a tracer) is patched only there.
+    Meanwhile BLAS runs on one thread in both processes, so they never
+    run more compute threads than BLAS was allowed; the count is restored
     afterwards, also when a call raises. One region runs at a time, and a
     call's exception is re-raised in the caller with its type and message.
 
     With one BLAS thread, or none whose count can be read and set, the
-    calls run in the caller, one after another, on the same functions.
-    Either way each call does the same operations, so the results do not
-    depend on which way they ran.
+    calls run in the caller, one after another, and a copy is fresh
+    objects over the caller's own arrays, which pure calls cannot tell
+    from a full copy (a call that wrote into an argument's array would
+    write into the caller's). Either way each call does the same
+    operations, so the results do not depend on which way they ran.
     """
     global _worker, _worker_regions
     controls = _blas_controls()
     if len(calls) < 2 or controls is None or controls[0]() < 2:
-        return [call() for call in calls]
+        copies = [_copied(call) for call in calls[1:]]
+        return [call() for call in [*calls[:1], *copies]]
     with _ROW_LOCK:
         before = controls[0]()
         controls[1](1)
@@ -542,8 +559,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
     def __reduce__(self):
-        # how a Tensor crosses a copy or a pickle (parallel_calls' worker);
-        # its closures cannot, so a Tensor that carries a graph never does
+        # how a Tensor crosses a pickle (parallel_calls' later calls); its
+        # closures cannot, so a Tensor that carries a graph never does
         if self._parents or self._backward is not None:
             raise TypeError("a Tensor that carries an autodiff graph cannot be "
                             "copied or pickled")

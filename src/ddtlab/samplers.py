@@ -231,13 +231,15 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
     encoder runs.
 
     Each call cuts x and y into numcore.row_slices(B) contiguous row
-    slices. A slice runs its encodes, decodes and guidance branch on its
-    own model copy (with_new_leaves) with its own z, all slices in one
-    numcore.parallel_calls region (_run_slice). The field keeps each
-    slice's z between anchors and hands it back on the calls that reuse
-    it. v and the z given to on_encode are joined in slice order, and the
-    call counts once on the model's NFE counters. The slices depend on B
-    alone, so v does not depend on the thread count."""
+    slices. A slice runs its encodes, decodes and guidance branch with
+    its own z, all slices in one numcore.parallel_calls region
+    (_run_slice). Slice 0 runs on the model itself and the others on
+    copies, so the model's NFE counters count each call once, by slice
+    0's calls; every slice makes the same calls. A call that raises may
+    leave slice 0's counts on the model. The field keeps each slice's z
+    between anchors and hands it back on the calls that reuse it. v and
+    the z given to on_encode are joined in slice order. The slices depend
+    on B alone, so v does not depend on the thread count."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     held: list[dict | None] = []  # per slice, the z of each branch
 
@@ -247,12 +249,10 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
         if encode:
             held[:] = [None] * (len(edges) - 1)
         y_rows = np.broadcast_to(y, (len(x),))
-        views = [model.with_new_leaves() for _ in held]
         with no_grad():
             results = parallel_calls([
-                partial(_run_slice, view, x[lo:hi], t, y_rows[lo:hi], guidance, z)
-                for view, z, lo, hi in zip(views, held, edges, edges[1:])])
-        model.add_slice_counts((views[0].nfe_encoder, views[0].nfe_decoder))
+                partial(_run_slice, model, x[lo:hi], t, y_rows[lo:hi], guidance, z)
+                for z, lo, hi in zip(held, edges, edges[1:])])
         vs, held[:] = zip(*results)
         if encode and on_encode is not None:
             on_encode(np.concatenate([z["c"].data for z in held]))
@@ -263,16 +263,16 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
     return field
 
 
-def _run_slice(view, x, t, y, guidance: GuidanceSpec | None, z: dict | None):
-    """One row slice of a field call on its own model copy: (v, z), where
-    z holds the encoder's output for the conditional branch ("c") and,
-    with guidance, the null-class branch ("u"). Given z, the call reuses
-    it and the encoder does not run."""
+def _run_slice(model, x, t, y, guidance: GuidanceSpec | None, z: dict | None):
+    """One row slice of a field call: (v, z), where z holds the encoder's
+    output for the conditional branch ("c") and, with guidance, the
+    null-class branch ("u"). Given z, the call reuses it and the encoder
+    does not run."""
     if z is None:
-        z = {"c": view.encode(x, t, y)[0]}
+        z = {"c": model.encode(x, t, y)[0]}
         if guidance is not None:
-            z["u"] = view.encode(x, t, np.full_like(y, view.config.null_class))[0]
-    v = view.decode(x, t, z["c"]).data
+            z["u"] = model.encode(x, t, np.full_like(y, model.config.null_class))[0]
+    v = model.decode(x, t, z["c"]).data
     if guidance is not None:
-        v = guided_velocity(v, view.decode(x, t, z["u"]).data, guidance, t)
+        v = guided_velocity(v, model.decode(x, t, z["u"]).data, guidance, t)
     return v, z

@@ -191,18 +191,14 @@ def plan_utility(S, anchors) -> float:
 
 
 def plan_uniform(N: int, K: int) -> SharingPlan:
-    """Anchors every N/K steps: round(k*N/K), deduplicated, padded with the
-    smallest unused steps if rounding collides."""
+    """Anchors every N/K steps: round(k*N/K) for k < K. For K <= N the
+    points lie N/K >= 1 apart, and are integers when N/K is 1, so their
+    rounded values are distinct and rising; the last, N - N/K <= N - 1,
+    rounds to at most N - 1."""
     if not 1 <= K <= N:
         raise ValueError(f"budget K={K} out of range [1, {N}]")
-    anchors = sorted({min(int(round(k * N / K)), N - 1) for k in range(K)})
-    cursor = 0
-    while len(anchors) < K:
-        if cursor not in anchors:
-            anchors.append(cursor)
-            anchors.sort()
-        cursor += 1
-    return SharingPlan(N=N, anchors=tuple(anchors), strategy="uniform")
+    anchors = tuple(int(round(k * N / K)) for k in range(K))
+    return SharingPlan(N=N, anchors=anchors, strategy="uniform")
 
 
 def plan_dp(S, K: int, return_state: bool = False):

@@ -221,17 +221,16 @@ def read_count(arrays: dict[str, np.ndarray], key: str) -> int:
 
 def _slice_step(model: DDTModel, batch: TrainBatch, alignment_weight: float,
                 share: float) -> tuple[tuple[float, float, float],
-                                       dict[str, np.ndarray | None], tuple[int, int]]:
-    """loss_terms and backward for one slice of a batch on fresh parameter
-    leaves, its total scaled by the slice's share of the batch's rows:
-    (the scaled loss_dec, loss_enc and total; the leaves' grads by name;
-    the slice's (nfe_encoder, nfe_decoder))."""
-    view = model.with_new_leaves()
-    loss_dec, loss_enc, total = loss_terms(view, batch, alignment_weight)
+                                       dict[str, np.ndarray | None]]:
+    """loss_terms and backward for one slice of a batch, its total scaled
+    by the slice's share of the batch's rows: (the scaled loss_dec,
+    loss_enc and total; the grads by name). The grads land on the given
+    model's leaves: the caller's own for slice 0, a copy's for the others."""
+    loss_dec, loss_enc, total = loss_terms(model, batch, alignment_weight)
     (total * share).backward()
-    grads = {name: p.grad for name, p in view.named_parameters()}
+    grads = {name: p.grad for name, p in model.named_parameters()}
     return ((share * loss_dec.item(), share * loss_enc.item(), share * total.item()),
-            grads, (view.nfe_encoder, view.nfe_decoder))
+            grads)
 
 
 def _batch_rows(batch: TrainBatch, lo: int, hi: int) -> TrainBatch:
@@ -250,14 +249,17 @@ def train_step(model: DDTModel, optimizer: Adam, batch: TrainBatch,
     The batch runs as numcore.row_slices(rows) contiguous row slices (two
     halves, rows // 2 and then the rest, from numcore.SPLIT_MIN_ROWS up;
     else the whole batch) through numcore.parallel_calls. Each slice
-    builds and differentiates its own graph on its own parameter leaves,
-    with its total scaled by its share of the rows, and returns the
-    leaves' grads, not the graph. The model's grad is
-    then the slices' grads added in slice order, and the reported losses
-    are the same weighted sums. The NFE counters count the step once. One
-    slice has share 1.0, which scales exactly, so a batch under
-    SPLIT_MIN_ROWS trains as one plain graph, bit for bit.
+    builds and differentiates its own graph, with its total scaled by its
+    share of the rows, and returns its leaves' grads, not the graph.
+    Slice 0 runs on the model itself and the others on copies of it, so
+    the model's NFE counters count the step once, by slice 0's calls. The
+    model's grad is then the slices' grads added in slice order, and the
+    reported losses are the same weighted sums. One slice has share 1.0,
+    which scales exactly, so a batch under SPLIT_MIN_ROWS trains as one
+    plain graph, bit for bit.
 
+    A slice that raises skips the update, but slice 0's counts and grads
+    may be left on the model; the next step zeroes the grads first.
     Non-finite gradients skip the update and flag the report. grad_norm
     is the gradient's L2 norm; it may overflow to inf on a finite
     gradient, which is still applied.
@@ -269,10 +271,9 @@ def train_step(model: DDTModel, optimizer: Adam, batch: TrainBatch,
         partial(_slice_step, model, _batch_rows(batch, lo, hi), alignment_weight,
                 (hi - lo) / rows)
         for lo, hi in zip(edges, edges[1:])])
-    losses, grads, counts = zip(*results)
+    losses, grads = zip(*results)
     for name, p in model.named_parameters():
         p.grad = reduce(_sum_grads, (slice_grads[name] for slice_grads in grads))
-    model.add_slice_counts(counts[0])
     losses = [reduce(operator.add, terms) for terms in zip(*losses)]
     report = LossReport(*losses, alignment_weight=float(alignment_weight))
     squares = 0.0

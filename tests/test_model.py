@@ -442,18 +442,23 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("case", ["header-not-utf8", "name-not-utf8", "dims-wrap",
-                                      "zero-dim-overflow"])
+                                      "zero-dim-overflow", "repeated-header-key",
+                                      "repeated-block"])
     def test_corrupt_bytes_rejected(self, tmp_path, case):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, tiny_config(), {})
         blob = path.read_bytes()
         start = len(CHECKPOINT_MAGIC) + 4
+        header = blob[start:] + b"heads=4\n"  # the file holds no blocks
 
         def block(name, dims, data=b""):
             return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
                     + struct.pack(f"<{len(dims)}I", *dims) + data)
 
         path.write_bytes({
+            # tiny_config has heads=2; heads=4 would also be a valid config
+            "repeated-header-key": CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header,
+            "repeated-block": blob + 2 * block(b"w", (1,), bytes(8)),
             "header-not-utf8": blob[:start] + b"\xff" + blob[start + 1:],
             "name-not-utf8": blob + block(b"\xffw", (1,), bytes(8)),
             # 65536**4 = 2**64 elements, which an int64 product wraps to 0

@@ -296,6 +296,11 @@ def _mode_and_scaled_sum(a, k):
     return numcore.is_grad_enabled(), float((a * k).sum())
 
 
+def _bump(ns):
+    ns.count += 1
+    return ns
+
+
 def _fill_and_sum(a):
     a[:] = 7.0
     return float(a.sum())
@@ -422,6 +427,28 @@ class TestRowParallel:
         with pytest.raises(TypeError, match="autodiff graph"):  # an argument
             numcore.parallel_calls([partial(_double, x)] * 2 + [partial(_double, x * 1.0)])
         assert numcore.parallel_calls([partial(_double, 1.0)] * 2) == [2.0, 2.0]
+
+    def test_later_calls_run_on_copies_inline_and_in_the_worker(self):
+        # with one BLAS thread the calls run inline; with the default
+        # threads, when there are two or more, the later ones in the worker
+        controls = numcore._blas_controls()
+        before = numcore.blas_threads()
+        for threads in [1] + ([before] if before is not None and before > 1 else []):
+            if controls is not None:
+                controls[1](threads)
+            try:
+                ns, regions = SimpleNamespace(count=0), numcore.worker_regions()
+                first, later = numcore.parallel_calls([partial(_bump, ns)] * 2)
+                assert numcore.worker_regions() == regions + (threads > 1)
+                assert first is ns and ns.count == 1  # calls[0] on the caller's own
+                assert later is not ns and later.count == 1
+                x = Tensor(np.ones(3), requires_grad=True)
+                with pytest.raises(TypeError, match="autodiff graph"):
+                    numcore.parallel_calls([partial(_double, 1.0), partial(_double, x * 1.0)])
+            finally:
+                if controls is not None:
+                    controls[1](before)
+        assert numcore.blas_threads() == before
 
     def test_a_worker_call_sees_a_copy_of_its_arguments(self):
         _needs_worker()
@@ -721,17 +748,8 @@ class ScriptedEncoder:
     decoder returns zero velocity. A probe batch runs as one row slice,
     on the stand-in itself."""
 
-    nfe_encoder = nfe_decoder = 0
-
     def __init__(self, z):
         self.z = iter(z)
-        self.config = SimpleNamespace(null_class=0)
-
-    def with_new_leaves(self):
-        return self
-
-    def add_slice_counts(self, counts):
-        pass
 
     def encode(self, x, t, y):
         return Tensor(next(self.z)), None

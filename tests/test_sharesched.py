@@ -201,6 +201,12 @@ def test_uniform_examples():
     assert plan_uniform(5, 5).anchors == (0, 1, 2, 3, 4)
 
 
+def test_uniform_anchors_are_the_rounded_points_unpadded():
+    for n in range(1, 201):
+        for k in range(1, n + 1):
+            assert plan_uniform(n, k).anchors == tuple(round(i * n / k) for i in range(k)), (n, k)
+
+
 @given(st.integers(min_value=1, max_value=60).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n))))
 def test_uniform_invariants(nk):
