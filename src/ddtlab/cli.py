@@ -6,13 +6,16 @@ atomically (temp-and-rename), and drops a manifest.json recording inputs
 (with content checksums), outputs, settings and the run environment so
 a run can be audited and replayed.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numerical
-failure.
+Exit codes: 0 success, 2 usage error (an input too large for memory
+among them), 3 data/format error, 4 numerical failure, 130 interrupted
+(Ctrl-C). A run that fails or is interrupted removes the --out directory
+it made, as long as that directory is still empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -27,7 +30,7 @@ from .errors import FormatError, NumericalError, UsageError
 from .files import atomic_write, open_text
 from .metrics import mmd_rbf, spectral_distance
 from .model import DDTModel, load_checkpoint, preset, save_checkpoint
-from .numcore import blas_threads, row_slices, worker_regions
+from .parallel import blas_threads, row_slices, worker_regions
 from .rng import substream
 from .samplers import GuidanceSpec, SOLVER_ORDERS, make_timegrid
 from .sharesched import (
@@ -93,9 +96,9 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def _environment(slices: int | None, regions_before: int) -> dict:
     """What a run computed with: the CPUs it may use, the software, the
     BLAS and its thread count, the thread variables, the row slices
-    (numcore.row_slices, set by the batch size alone) each model call or
+    (parallel.row_slices, set by the batch size alone) each model call or
     training step was cut into (None when no model ran), and whether
-    slices ran in the worker process, i.e. whether numcore.worker_regions
+    slices ran in the worker process, i.e. whether parallel.worker_regions
     rose above regions_before, its count when the command started."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -548,18 +551,26 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    made_out = not os.path.exists(args.out)
     try:
         _check_minimums(args)
         return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"usage error: {exc}", 2
+    except MemoryError as exc:
+        message, code = f"usage error: the input is too large for memory ({exc})", 2
     except (FormatError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"data error: {exc}", 3
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
+        message, code = f"numerical failure: {exc}", 4
+    except KeyboardInterrupt:
+        message, code = "interrupted", 130
+    print(message, file=sys.stderr)
+    if made_out:
+        # only while it is still empty: rmdir refuses a directory with files
+        with contextlib.suppress(OSError):
+            os.rmdir(args.out)
+    return code
 
 
 if __name__ == "__main__":

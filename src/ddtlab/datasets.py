@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numcore import dct_matrix
-from .spectral import radial_bin_map
+from .spectral import dct_matrix, radial_bin_map
 
 __all__ = ["BandlimitedDataset", "GaussianDataset", "PointMassDataset", "DATASETS",
            "make_dataset"]

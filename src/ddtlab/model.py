@@ -297,7 +297,10 @@ def _rope_tables(num_tokens: int, head_dim: int) -> tuple[np.ndarray, np.ndarray
     half = head_dim // 2
     inv_freq = 10000.0 ** (-np.arange(half) / half)
     angles = np.arange(num_tokens)[:, None] * inv_freq[None, :]
-    return np.cos(angles), np.sin(angles)
+    cos, sin = np.cos(angles), np.sin(angles)
+    cos.setflags(write=False)  # cached: every caller shares these arrays
+    sin.setflags(write=False)
+    return cos, sin
 
 
 def _sinusoidal(t_vec: np.ndarray, dim: int) -> np.ndarray:

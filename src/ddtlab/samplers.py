@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .files import atomic_write
-from .numcore import no_grad, parallel_calls, slice_edges
+from .numcore import no_grad
+from .parallel import parallel_calls, slice_edges
 
 __all__ = [
     "TimeGrid",
@@ -230,9 +231,9 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
     on_encode(z) receives the conditional z as an array each time the
     encoder runs.
 
-    Each call cuts x and y into numcore.row_slices(B) contiguous row
+    Each call cuts x and y into parallel.row_slices(B) contiguous row
     slices. A slice runs its encodes, decodes and guidance branch with
-    its own z, all slices in one numcore.parallel_calls region
+    its own z, all slices in one parallel.parallel_calls region
     (_run_slice). Slice 0 runs on the model itself and the others on
     copies, so the model's NFE counters count each call once, by slice
     0's calls; every slice makes the same calls. A call that raises may

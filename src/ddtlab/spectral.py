@@ -22,12 +22,12 @@ from functools import lru_cache
 import numpy as np
 
 from .files import atomic_write
-from .numcore import dct_matrix
 
 __all__ = [
     "SpectrumProfile",
     "radial_bin_map",
     "num_radial_bins",
+    "dct_matrix",
     "dct2",
     "idct2",
     "radial_spectrum",
@@ -53,9 +53,24 @@ def num_radial_bins(n: int) -> int:
     return int(radial_bin_map(n).max()) + 1
 
 
+@lru_cache(maxsize=64)
+def dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal type-II DCT matrix; rows are the basis vectors u_i.
+    Read-only, since every caller shares the cached array."""
+    if n < 1:
+        raise ValueError("DCT size must be >= 1")
+    k = np.arange(n)[:, None]
+    r = np.arange(n)[None, :]
+    mat = np.cos(np.pi / n * k * (r + 0.5))
+    mat *= np.sqrt(2.0 / n)
+    mat[0] *= np.sqrt(0.5)
+    mat.setflags(write=False)
+    return mat
+
+
 def dct2(x: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II over the last two axes: m_r @ x @ m_c.T,
-    two matrix products broadcast over the leading axes."""
+    two matrix products broadcast over the leading axes, O(n^3) an image."""
     x = np.asarray(x, dtype=np.float64)
     m_r = dct_matrix(x.shape[-2])
     m_c = dct_matrix(x.shape[-1])

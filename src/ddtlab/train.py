@@ -22,7 +22,8 @@ from .datasets import DATASETS, make_dataset
 from .errors import FormatError, NumericalError, UsageError
 from .files import atomic_write
 from .model import PRESETS, DDTModel
-from .numcore import Tensor, parallel_calls, slice_edges
+from .numcore import Tensor
+from .parallel import parallel_calls, slice_edges
 from .rng import step_stream
 
 __all__ = [
@@ -246,9 +247,9 @@ def train_step(model: DDTModel, optimizer: Adam, batch: TrainBatch,
                alignment_weight: float = 0.5) -> LossReport:
     """One gradient step; the frozen teacher is untouched by construction.
 
-    The batch runs as numcore.row_slices(rows) contiguous row slices (two
-    halves, rows // 2 and then the rest, from numcore.SPLIT_MIN_ROWS up;
-    else the whole batch) through numcore.parallel_calls. Each slice
+    The batch runs as parallel.row_slices(rows) contiguous row slices (two
+    halves, rows // 2 and then the rest, from parallel.SPLIT_MIN_ROWS up;
+    else the whole batch) through parallel.parallel_calls. Each slice
     builds and differentiates its own graph, with its total scaled by its
     share of the rows, and returns its leaves' grads, not the graph.
     Slice 0 runs on the model itself and the others on copies of it, so

@@ -160,6 +160,43 @@ def test_train_missing_config_exits_3(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+# 1e11 rows: each command's first array of them cannot be allocated on
+# any machine, so it fails at once rather than after filling memory
+HUGE = "100000000000"
+
+
+@pytest.mark.parametrize("command", ["sample", "train", "diagnose"])
+def test_input_too_large_for_memory_exits_2_and_leaves_no_out(tmp_path, tiny_ckpt, capsys,
+                                                             command):
+    argv = {
+        "sample": lambda: ["sample", "--checkpoint", str(tiny_ckpt), "--num", HUGE],
+        "train": lambda: ["train", "--config",
+                          str(write_config(tmp_path / "config.txt", batch=HUGE))],
+        "diagnose": lambda: ["diagnose", "--trials", HUGE],
+    }[command]()
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_interrupt_prints_one_line_and_removes_only_an_empty_out_it_made(
+        tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "train", interrupted)
+    cfg = write_config(tmp_path / "config.txt")
+    made, kept = tmp_path / "made", tmp_path / "kept"
+    kept.mkdir()
+    for out in (made, kept):
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+    assert not made.exists() and kept.is_dir()
+
+
 # a directory (IsADirectoryError), or a path through a regular file
 # (NotADirectoryError)
 @pytest.mark.parametrize("command, flag, kind", [

@@ -143,7 +143,8 @@ class TestAdaLNModulate:
         b = Tensor(RNG.standard_normal(24) * 0.3, requires_grad=True)
 
         def run(ht, ct, wt, bt):
-            return (adaln_modulate(ht, ct, wt, bt, lambda x: x * x) ** 2.0).sum()
+            out = adaln_modulate(ht, ct, wt, bt, lambda x: x * x)
+            return (out * out).sum()
 
         loss = run(h, cond, w, b)
         assert np.isfinite(loss.item())
@@ -297,6 +298,13 @@ class TestEncoderDecoder:
             z_ref, v_ref = composed_forward(model, x, t, y)
             assert np.array_equal(z.data, z_ref), rows
             assert np.array_equal(v.data, v_ref), rows
+
+    def test_cached_rope_tables_are_read_only(self):
+        cos, sin = _rope_tables(16, 16)
+        for table in (cos, sin):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] += 1.0
+        assert _rope_tables(16, 16)[0][0, 0] == 1.0
 
     def test_nfe_counters(self):
         model = DDTModel(tiny_config(), seed=0)

@@ -25,10 +25,9 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddtlab import numcore
+from ddtlab import numcore, parallel
 from ddtlab.numcore import (
     Tensor,
-    dct_matrix,
     gated_residual,
     linear,
     modulate,
@@ -40,7 +39,7 @@ from ddtlab.numcore import (
 )
 from ddtlab.samplers import make_timegrid
 from ddtlab.sharesched import probe_similarity
-from ddtlab.spectral import dct2, idct2
+from ddtlab.spectral import dct2, dct_matrix, idct2
 
 
 def fd_grad(fn, arrays, index, step=1e-3):
@@ -86,6 +85,11 @@ def check_grads(build, arrays, tol=1e-6):
         denom = np.maximum(denom, 1e-4)
         rel = np.abs(t.grad - numeric) / denom
         assert rel.max() < tol, f"input {k}: max rel err {rel.max():.3e}"
+
+
+def square(t):
+    """t * t: the square of a Tensor, as a product node."""
+    return t * t
 
 
 def composed_rope(x, cos, sin):
@@ -137,7 +141,7 @@ class TestAutodiff:
         rng = np.random.default_rng(102)
         a = rng.standard_normal((5,)) + 3.0
         b = rng.standard_normal((5,)) + 3.0
-        check_grads(lambda x, y: ((x / y) ** 2.0).sum(), [a, b])
+        check_grads(lambda x, y: square(x / y).sum(), [a, b])
 
     def test_matmul_2d(self):
         rng = np.random.default_rng(103)
@@ -149,13 +153,13 @@ class TestAutodiff:
         rng = np.random.default_rng(104)
         a = rng.standard_normal((2, 3, 4))
         b = rng.standard_normal((2, 4, 5))
-        check_grads(lambda x, y: ((x @ y) ** 2.0).sum(), [a, b])
+        check_grads(lambda x, y: square(x @ y).sum(), [a, b])
 
-    def test_matmul_vector(self):
-        rng = np.random.default_rng(105)
-        a = rng.standard_normal((3, 4))
-        v = rng.standard_normal(4)
-        check_grads(lambda x, y: (x @ y).sum(), [a, v])
+    def test_matmul_refuses_a_vector(self):
+        x, v = Tensor(np.ones((3, 4)), requires_grad=True), Tensor(np.ones(4))
+        for a, b in ((x, v), (v, x.transpose(1, 0))):
+            with pytest.raises(ValueError, match="rank >= 2"):
+                a @ b
 
     def test_reductions(self):
         rng = np.random.default_rng(106)
@@ -167,8 +171,8 @@ class TestAutodiff:
     def test_reshape_transpose(self):
         rng = np.random.default_rng(107)
         a = rng.standard_normal((2, 3, 4))
-        check_grads(lambda x: (x.reshape(6, 4) ** 2.0).sum(), [a])
-        check_grads(lambda x: (x.transpose(2, 0, 1) ** 2.0).sum(), [a])
+        check_grads(lambda x: square(x.reshape(6, 4)).sum(), [a])
+        check_grads(lambda x: square(x.transpose(2, 0, 1)).sum(), [a])
 
     def test_chunk(self):
         rng = np.random.default_rng(108)
@@ -182,7 +186,7 @@ class TestAutodiff:
         rng = np.random.default_rng(109)
         table = rng.standard_normal((7, 4))
         idx = np.array([0, 3, 3, 6, 0])
-        check_grads(lambda t: (t.take_rows(idx) ** 2.0).sum(), [table])
+        check_grads(lambda t: square(t.take_rows(idx)).sum(), [table])
 
     def test_nonlinearities(self):
         rng = np.random.default_rng(110)
@@ -245,7 +249,7 @@ class TestAutodiff:
         with pytest.raises(ValueError, match="already consumed"):
             (h * 2.0).sum().backward()
         # a new forward pass from the leaves differentiates normally
-        x.zero_grad()
+        x.grad = None
         ((x * x) * 3.0).sum().backward()
         assert np.array_equal(x.grad, [12.0])
 
@@ -261,23 +265,29 @@ class TestAutodiff:
         assert not y.requires_grad
         assert y._backward is None
 
-    def test_detach_cuts_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = (x * 2.0).detach()
-        z = (y * 3.0).sum()
-        assert not z.requires_grad
-
 
 # Calls for parallel_calls: module-level, so they can cross to the worker.
 
 def _blas_threads_inside(k):
-    return numcore.blas_threads()
+    return parallel.blas_threads()
 
 
 def _fail_if_bad(k, bad):
     if k == bad:
         raise LookupError(f"slice {k} failed")
     return k
+
+
+class TwoArgumentError(Exception):
+    """An exception that does not survive a pickle round trip: unpickling
+    calls __init__ with self.args, which holds one argument."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _raise_two_argument_error(k):
+    raise TwoArgumentError("slice", k)
 
 
 def _exp(x):
@@ -339,29 +349,42 @@ def _exits_within(pid: int, seconds: float) -> bool:
 
 
 def _needs_worker():
-    threads = numcore.blas_threads()
+    threads = parallel.blas_threads()
     if threads is None or threads < 2:
         pytest.skip("row slices run in a worker only with two or more BLAS threads")
 
 
 class TestRowParallel:
-    """numcore.parallel_calls, the one region that the row slices of a
+    """parallel.parallel_calls, the one region that the row slices of a
     field call or a training step run in: calls[0] in the caller, the
     others in one worker process when BLAS has two or more threads."""
 
     def test_blas_threads_restored_also_when_a_slice_raises(self):
-        before = numcore.blas_threads()
+        before = parallel.blas_threads()
         if before is None:
             pytest.skip("no OpenBLAS thread control in this process")
-        inside = numcore.parallel_calls([partial(_blas_threads_inside, k) for k in (0, 1)])
+        inside = parallel.parallel_calls([partial(_blas_threads_inside, k) for k in (0, 1)])
         assert inside == ([1, 1] if before > 1 else [before, before])
-        assert numcore.blas_threads() == before
+        assert parallel.blas_threads() == before
         for bad in (0, 1):  # the caller's call, then the worker's
             with pytest.raises(LookupError) as raised:
-                numcore.parallel_calls([partial(_fail_if_bad, k, bad) for k in (0, 1)])
+                parallel.parallel_calls([partial(_fail_if_bad, k, bad) for k in (0, 1)])
             assert str(raised.value) == f"slice {bad} failed"
-            assert numcore.blas_threads() == before
-        assert numcore.parallel_calls([partial(_fail_if_bad, k, 2) for k in (0, 1)]) == [0, 1]
+            assert parallel.blas_threads() == before
+        assert parallel.parallel_calls([partial(_fail_if_bad, k, 2) for k in (0, 1)]) == [0, 1]
+
+    def test_a_worker_error_carries_the_workers_traceback(self):
+        _needs_worker()
+        with pytest.raises(LookupError, match="slice 1 failed") as raised:
+            parallel.parallel_calls([partial(_fail_if_bad, k, 1) for k in (0, 1)])
+        assert any(note.startswith("raised in the row-slice worker process")
+                   for note in getattr(raised.value, "__notes__", []))
+
+    def test_a_worker_error_that_does_not_pickle_comes_back_as_a_runtime_error(self):
+        _needs_worker()
+        with pytest.raises(RuntimeError) as raised:
+            parallel.parallel_calls([partial(_double, 1.0), partial(_raise_two_argument_error, 1)])
+        assert str(raised.value) == "TwoArgumentError: slice at 1"
 
     def test_workers_run_under_the_callers_errstate(self):
         for overflowing in (0, 1):  # the caller's call, then the worker's
@@ -369,9 +392,9 @@ class TestRowParallel:
             big[overflowing] = 1e4
             calls = [partial(_exp, big[0]), partial(_exp, big[1])]
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                numcore.parallel_calls(calls)
+                parallel.parallel_calls(calls)
             with np.errstate(over="ignore"):
-                out = numcore.parallel_calls(calls)
+                out = parallel.parallel_calls(calls)
             assert np.all(out[overflowing] == np.inf)
 
     def test_concurrent_callers_serialise(self):
@@ -379,13 +402,14 @@ class TestRowParallel:
         # whole and the BLAS thread count restored once all are done. The
         # first region runs before the threads start, so the threads all
         # share one worker that is already up.
-        before = numcore.blas_threads()
+        before = parallel.blas_threads()
         wrong = []
 
         def caller(k):
             for _ in range(40):
                 a = np.arange(8.0) + k
-                halves = numcore.parallel_calls([partial(_double, a[:4]), partial(_double, a[4:])])
+                halves = parallel.parallel_calls([partial(_double, a[:4]),
+                                                  partial(_double, a[4:])])
                 if not np.array_equal(np.concatenate(halves), a * 2.0):
                     wrong.append(k)
 
@@ -402,12 +426,12 @@ class TestRowParallel:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in callers)
         assert wrong == []
-        assert numcore.blas_threads() == before
+        assert parallel.blas_threads() == before
 
     def test_slice_workers_build_no_graph(self):
         x = Tensor(np.ones((4, 3)), requires_grad=True)
         with no_grad():
-            results = numcore.parallel_calls([partial(_mode_and_double, x)] * 2)
+            results = parallel.parallel_calls([partial(_mode_and_double, x)] * 2)
         assert [mode for mode, _ in results] == [False, False]
         assert not any(out.requires_grad for _, out in results)
         assert all(np.array_equal(out.data, np.full((4, 3), 2.0)) for _, out in results)
@@ -415,46 +439,46 @@ class TestRowParallel:
     def test_parallel_calls_keep_order_and_the_callers_grad_mode(self):
         a = np.arange(3.0)
         calls = [partial(_mode_and_scaled_sum, a, k) for k in (1, 2, 3)]
-        assert numcore.parallel_calls(calls) == [(True, 3.0), (True, 6.0), (True, 9.0)]
+        assert parallel.parallel_calls(calls) == [(True, 3.0), (True, 6.0), (True, 9.0)]
         with no_grad():
-            assert numcore.parallel_calls(calls[:2]) == [(False, 3.0), (False, 6.0)]
+            assert parallel.parallel_calls(calls[:2]) == [(False, 3.0), (False, 6.0)]
 
     def test_a_tensor_with_a_graph_never_crosses(self):
         _needs_worker()
         x = Tensor(np.ones((4, 3)), requires_grad=True)
         with pytest.raises(TypeError, match="autodiff graph"):  # a result
-            numcore.parallel_calls([partial(_double, x)] * 2)
+            parallel.parallel_calls([partial(_double, x)] * 2)
         with pytest.raises(TypeError, match="autodiff graph"):  # an argument
-            numcore.parallel_calls([partial(_double, x)] * 2 + [partial(_double, x * 1.0)])
-        assert numcore.parallel_calls([partial(_double, 1.0)] * 2) == [2.0, 2.0]
+            parallel.parallel_calls([partial(_double, x)] * 2 + [partial(_double, x * 1.0)])
+        assert parallel.parallel_calls([partial(_double, 1.0)] * 2) == [2.0, 2.0]
 
     def test_later_calls_run_on_copies_inline_and_in_the_worker(self):
         # with one BLAS thread the calls run inline; with the default
         # threads, when there are two or more, the later ones in the worker
-        controls = numcore._blas_controls()
-        before = numcore.blas_threads()
+        controls = parallel._blas_controls()
+        before = parallel.blas_threads()
         for threads in [1] + ([before] if before is not None and before > 1 else []):
             if controls is not None:
                 controls[1](threads)
             try:
-                ns, regions = SimpleNamespace(count=0), numcore.worker_regions()
-                first, later = numcore.parallel_calls([partial(_bump, ns)] * 2)
-                assert numcore.worker_regions() == regions + (threads > 1)
+                ns, regions = SimpleNamespace(count=0), parallel.worker_regions()
+                first, later = parallel.parallel_calls([partial(_bump, ns)] * 2)
+                assert parallel.worker_regions() == regions + (threads > 1)
                 assert first is ns and ns.count == 1  # calls[0] on the caller's own
                 assert later is not ns and later.count == 1
                 x = Tensor(np.ones(3), requires_grad=True)
                 with pytest.raises(TypeError, match="autodiff graph"):
-                    numcore.parallel_calls([partial(_double, 1.0), partial(_double, x * 1.0)])
+                    parallel.parallel_calls([partial(_double, 1.0), partial(_double, x * 1.0)])
             finally:
                 if controls is not None:
                     controls[1](before)
-        assert numcore.blas_threads() == before
+        assert parallel.blas_threads() == before
 
     def test_a_worker_call_sees_a_copy_of_its_arguments(self):
         _needs_worker()
         a, b = np.zeros(4), np.zeros(4)
-        assert numcore.parallel_calls([partial(_fill_and_sum, a),
-                                       partial(_fill_and_sum, b)]) == [28.0, 28.0]
+        assert parallel.parallel_calls([partial(_fill_and_sum, a),
+                                        partial(_fill_and_sum, b)]) == [28.0, 28.0]
         assert np.all(a == 7.0)  # calls[0] ran in the caller, on a itself
         assert np.all(b == 0.0)
 
@@ -462,7 +486,7 @@ class TestRowParallel:
         # the interrupt lands while the caller waits for the worker's reply,
         # which is then never read; the next region must get its own
         _needs_worker()
-        numcore.parallel_calls([partial(_double, 0.0)] * 2)  # the worker is up
+        parallel.parallel_calls([partial(_double, 0.0)] * 2)  # the worker is up
 
         def interrupt(signum, frame):
             raise KeyboardInterrupt
@@ -471,34 +495,34 @@ class TestRowParallel:
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.2)
             with pytest.raises(KeyboardInterrupt):
-                numcore.parallel_calls([partial(_sleep_then, "first", 0.0),
-                                        partial(_sleep_then, "stale", 1.0)])
+                parallel.parallel_calls([partial(_sleep_then, "first", 0.0),
+                                         partial(_sleep_then, "stale", 1.0)])
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
-        assert numcore.parallel_calls([partial(_sleep_then, k, 0.0)
-                                       for k in ("a", "b")]) == ["a", "b"]
+        assert parallel.parallel_calls([partial(_sleep_then, k, 0.0)
+                                        for k in ("a", "b")]) == ["a", "b"]
 
     def test_a_dying_worker_is_an_error_and_the_next_region_starts_anew(self):
         _needs_worker()
         with pytest.raises(RuntimeError, match="worker process .* died"):
-            numcore.parallel_calls([partial(_double, 1.0), partial(_exit_process, 1)])
-        assert numcore.parallel_calls([partial(_double, k) for k in (1.0, 2.0)]) == [2.0, 4.0]
+            parallel.parallel_calls([partial(_double, 1.0), partial(_exit_process, 1)])
+        assert parallel.parallel_calls([partial(_double, k) for k in (1.0, 2.0)]) == [2.0, 4.0]
 
     def test_a_forked_child_starts_its_own_worker(self):
         _needs_worker()
-        numcore.parallel_calls([partial(_double, 0.0)] * 2)  # the worker is up
+        parallel.parallel_calls([partial(_double, 0.0)] * 2)  # the worker is up
         pid = os.fork()
         if pid == 0:  # the child: never return into the test runner
             status = 1
             try:
-                if numcore.parallel_calls([partial(_double, k) for k in (1.0, 2.0)]) == [2.0, 4.0]:
+                if parallel.parallel_calls([partial(_double, k) for k in (1.0, 2.0)]) == [2.0, 4.0]:
                     status = 0
-                numcore._stop_worker()
+                parallel._stop_worker()
             finally:
                 os._exit(status)
         assert os.waitpid(pid, 0)[1] == 0
-        assert numcore.parallel_calls([partial(_double, k) for k in (3.0, 4.0)]) == [6.0, 8.0]
+        assert parallel.parallel_calls([partial(_double, k) for k in (3.0, 4.0)]) == [6.0, 8.0]
 
     @pytest.mark.parametrize("end", ["exit", "kill"])
     def test_no_worker_outlives_its_parent(self, end):
@@ -521,7 +545,7 @@ class TestRowParallel:
             "if sys.argv[1] == 'kill':\n"
             "    time.sleep(120)\n")
         env = dict(os.environ)
-        src = str(Path(numcore.__file__).resolve().parents[1])
+        src = str(Path(parallel.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         prctl = ctypes.CDLL(None).prctl
         subreaper = prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) == 0
@@ -545,11 +569,11 @@ class TestRowParallel:
     def test_model_call_restores_blas_threads(self):
         from ddtlab.model import DDTModel, preset
         from ddtlab.samplers import model_velocity_field
-        before = numcore.blas_threads()
+        before = parallel.blas_threads()
         model = DDTModel(preset("desk"), seed=0)
         x = np.random.default_rng(3).standard_normal((64, 1, 8, 8))
         model_velocity_field(model, 1)(x, 0.5)
-        assert numcore.blas_threads() == before
+        assert parallel.blas_threads() == before
 
 
 class TestGradMode:
@@ -592,14 +616,14 @@ class TestFusedOps:
         x = rng.standard_normal((5, 4))
         w = rng.standard_normal((4, 3))
         b = rng.standard_normal(3)
-        check_grads(lambda x, w, b: (linear(x, w, b) ** 2.0).sum(), [x, w, b])
+        check_grads(lambda x, w, b: square(linear(x, w, b)).sum(), [x, w, b])
 
     def test_linear_3d(self):
         rng = np.random.default_rng(112)
         x = rng.standard_normal((2, 3, 4))
         w = rng.standard_normal((4, 5))
         b = rng.standard_normal(5)
-        check_grads(lambda x, w, b: (linear(x, w, b) ** 2.0).sum(), [x, w, b])
+        check_grads(lambda x, w, b: square(linear(x, w, b)).sum(), [x, w, b])
         np.testing.assert_allclose(linear(Tensor(x), Tensor(w), Tensor(b)).data,
                                    x @ w + b, rtol=1e-13, atol=1e-13)
 
@@ -734,6 +758,11 @@ class TestDCT:
         coef = x @ dct_matrix(n).T
         mean_sq = (coef ** 2).mean(axis=0)
         assert np.all(np.abs(mean_sq - 1.0) < 0.05)
+
+    def test_cached_basis_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            dct_matrix(8)[0, 0] += 1.0
+        np.testing.assert_allclose(dct_matrix(8)[0, 0], math.sqrt(1.0 / 8.0), rtol=1e-15)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddtlab import numcore, samplers
+from ddtlab import parallel, samplers
 from ddtlab.errors import NumericalError
 from ddtlab.model import DDTModel, ModelConfig
 from ddtlab.samplers import (
@@ -351,7 +351,7 @@ class TestModelField:
 
 
 class TestSlicedField:
-    """A field call cuts its batch into numcore.row_slices(B) row slices
+    """A field call cuts its batch into parallel.row_slices(B) row slices
     (two from 24 rows), each on its own model view and z."""
 
     _model = TestModelField._model
@@ -366,12 +366,12 @@ class TestSlicedField:
         y = rng.integers(0, 3, rows) if labels == "per-row" else np.array([2])
         y_rows = np.broadcast_to(y, (rows,))
         spec = GuidanceSpec(w=1.5) if guided else None
-        assert numcore.row_slices(rows) == 2
+        assert parallel.row_slices(rows) == 2
         zs = []
         v = model_velocity_field(model, y, spec, on_encode=zs.append)(x, 0.5)
         parts = []
         for lo, hi in ((0, rows // 2), (rows // 2, rows)):
-            assert numcore.row_slices(hi - lo) == 1
+            assert parallel.row_slices(hi - lo) == 1
             part_z = []
             part_v = model_velocity_field(model, y_rows[lo:hi], spec,
                                           on_encode=part_z.append)(x[lo:hi], 0.5)

@@ -17,8 +17,9 @@ import ddtlab.train as train_mod
 from ddtlab.datasets import BandlimitedDataset, GaussianDataset, PointMassDataset, make_dataset
 from ddtlab.errors import NumericalError, UsageError
 from ddtlab.model import DDTModel, ModelConfig, preset
-from ddtlab import numcore
-from ddtlab.numcore import Tensor, dct_matrix, topological_order
+from ddtlab import parallel
+from ddtlab.numcore import Tensor, topological_order
+from ddtlab.spectral import dct_matrix
 from ddtlab.rng import step_stream, substream
 from ddtlab.train import (
     Adam,
@@ -349,7 +350,7 @@ class TestSplitStep:
         ref_losses = one_graph_step(ref, Adam(dict(ref.named_parameters())), batch)
         model = nudged_desk(3)
         report = train_step(model, Adam(dict(model.named_parameters())), batch)
-        assert numcore.row_slices(rows) == 2
+        assert parallel.row_slices(rows) == 2
         assert (model.nfe_encoder, model.nfe_decoder) == (1, 1)
         got = (report.loss_dec, report.loss_enc, report.total)
         for value, want in zip(got, ref_losses):
@@ -369,7 +370,7 @@ class TestSplitStep:
         ref, model = nudged_desk(5), nudged_desk(5)
         ref_opt = Adam(dict(ref.named_parameters()))
         opt = Adam(dict(model.named_parameters()))
-        assert numcore.row_slices(rows) == 1
+        assert parallel.row_slices(rows) == 1
         for step in range(3):
             batch = make_batch(ds, cfg, step_stream(9, "data", step), rows)
             want = one_graph_step(ref, ref_opt, batch)
@@ -381,7 +382,7 @@ class TestSplitStep:
 
     def test_a_raising_half_restores_blas_threads(self):
         # a label past the null class fails the encoder's check in one half
-        before = numcore.blas_threads()
+        before = parallel.blas_threads()
         if before is None:
             pytest.skip("no OpenBLAS thread control in this process")
         cfg = tiny_config()
@@ -392,7 +393,7 @@ class TestSplitStep:
             batch.y[bad_row] = cfg.num_classes + 1
             with pytest.raises(ValueError, match="class index out of range"):
                 train_step(model, opt, batch)
-            assert numcore.blas_threads() == before
+            assert parallel.blas_threads() == before
         assert opt.step_count == 0
 
     def test_concurrent_trainers_match_a_lone_one(self):
@@ -401,7 +402,7 @@ class TestSplitStep:
         # thread count must be restored once all are done
         cfg = tiny_config()
         ds = make_dataset("bandlimited", cfg.image_size, cfg.channels, cfg.num_classes)
-        before = numcore.blas_threads()
+        before = parallel.blas_threads()
 
         def run(out):
             model = DDTModel(cfg, seed=3)
@@ -426,7 +427,7 @@ class TestSplitStep:
             assert len(out) == 1
             for name, want in lone[0].items():
                 assert np.array_equal(out[0][name], want), name
-        assert numcore.blas_threads() == before
+        assert parallel.blas_threads() == before
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_grad_norm_does_not_skip_a_finite_step(self, monkeypatch):
