@@ -8,14 +8,18 @@ working tree's tracked files (as `git stash create` records them, new
 files only once `git add`ed) are each exported with `git archive` into
 a temporary directory (set TMPDIR to choose where), so both sides run
 from a fresh checkout in like places. Both sides first make one
-discarded run, which builds and caches their desk checkpoint.
+discarded run, which builds and caches their desk checkpoint. Then the
+working tree's scripts/output_hashes.py runs once in each side's
+export, on that side's ddtlab, so both sides print the same keys.
 
 For every workload of BENCHMARK.json, pair i runs `perfbench/run.py`
 at seed SEED0 + i on both sides with the command and run length of
 BENCHMARK.json, the parent first in even pairs and the working tree
 first in odd ones. The result
 goes to BENCH_<label>.json: every run's end-to-end metrics, the sha256
-of each side's desk checkpoint, and per workload and metric each side's
+of each side's desk checkpoint, each side's output hashes and, per key,
+whether they agree (`outputs_identical`; a key that only one side
+printed reads false), and per workload and metric each side's
 min, quartiles and median, its wins over the pairs (ties count for
 neither), the change of the median against the metric's bound and
 `gain_shown`: the working tree won at least nine tenths of the pairs and
@@ -37,6 +41,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -134,6 +139,20 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def output_hashes(side_root: Path) -> dict[str, str]:
+    """The `key sha256` lines of the working tree's output_hashes.py run
+    on one side's ddtlab; empty, with a note, when the script fails, since
+    this gate reports and does not stop the run."""
+    env = dict(os.environ, PYTHONPATH=str(side_root / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "output_hashes.py")],
+                          cwd=side_root, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"output_hashes.py in {side_root} exited {proc.returncode}:\n"
+              f"{proc.stderr[-2000:]}", file=sys.stderr)
+        return {}
+    return dict(line.split() for line in proc.stdout.strip().splitlines())
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
@@ -154,13 +173,18 @@ def main() -> int:
         roots = {side: tmp / side for side in SIDES}
         export_rev(parent_rev, roots["parent"])
         export_rev(work_rev, roots["work"])
-        checkpoints = {}
+        checkpoints, hashes = {}, {}
         for side in SIDES:
             warm = run_once(bench, roots[side], workloads[0], SEED0 - 1, 1.0)
             checkpoints[side] = sha256(roots[side] / warm["checkpoint"])
+            hashes[side] = output_hashes(roots[side])
         report = {"parent": parent_rev, "pairs": args.pairs, "run_seconds": seconds,
                   "checkpoint_sha256": checkpoints,
                   "checkpoints_identical": checkpoints["parent"] == checkpoints["work"],
+                  "output_hashes": hashes,
+                  "outputs_identical": {
+                      key: hashes["parent"].get(key) == hashes["work"].get(key)
+                      for key in {**hashes["parent"], **hashes["work"]}},
                   "workloads": {}}
         for workload in workloads:
             runs = {side: [] for side in SIDES}

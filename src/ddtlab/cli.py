@@ -3,7 +3,7 @@
 Subcommands: train | sample | plan | diagnose. Every command derives all
 randomness from --seed via named substreams, writes its primary outputs
 atomically (temp-and-rename), and drops a manifest.json recording inputs
-(with content checksums), outputs, settings and the run environment so
+and outputs (each with its sha256), settings and the run environment so
 a run can be audited and replayed.
 
 Exit codes: 0 success, 2 usage error (an input too large for memory
@@ -124,7 +124,7 @@ def _write_manifest(out_dir: str, command: str, seed: int, inputs: list,
         "command": command,
         "seed": seed,
         "inputs": {str(p): _checksum_file(p) for p in inputs},
-        "outputs": sorted(outputs),
+        "outputs": {name: _checksum_file(os.path.join(out_dir, name)) for name in outputs},
         "settings": settings,
         "environment": environment,
     }
@@ -389,6 +389,13 @@ def cmd_diagnose(args) -> int:
         t_list.append(t)
     if not t_list:
         raise UsageError("--t-list must name at least one time")
+    # the file name keeps two decimals, so two entries may name one file
+    spectra = {}
+    for t in t_list:
+        name = f"spectrum_t{t:.2f}.csv"
+        if name in spectra:
+            raise UsageError(f"--t-list entries {spectra[name]} and {t} both write {name}")
+        spectra[name] = t
     # a bad checkpoint fails here, before the output directory exists
     sim = None if args.checkpoint is None else _probe_checkpoint(args)
 
@@ -400,11 +407,10 @@ def cmd_diagnose(args) -> int:
     rng = substream(args.seed, "diagnose")
     profile = _data_profile(dataset, rng, args.trials)
     clean, _ = dataset.sample(substream(args.seed, "diagnose-mc"), args.trials)
-    for t in t_list:
+    for name, t in spectra.items():
         at_t = SpectrumProfile(profile.data_coefficients, lam=profile.lam, t=t)
         empirical = empirical_noisy_spectrum(
             clean, t, substream(args.seed, f"diagnose-noise/{t:.6g}"))
-        name = f"spectrum_t{t:.2f}.csv"
         write_spectrum_csv(os.path.join(args.out, name), at_t, empirical)
         outputs.append(name)
 

@@ -27,15 +27,12 @@ class BandlimitedDataset:
     modes with jittered amplitudes. Spectrum beyond radial bin 3 is empty,
     which the spectral diagnostics rely on."""
 
-    name = "bandlimited"
+    amplitude, jitter = 6.0, 0.3
 
-    def __init__(self, image_size: int = 8, channels: int = 1, num_classes: int = 4,
-                 amplitude: float = 6.0, jitter: float = 0.3):
+    def __init__(self, image_size: int = 8, channels: int = 1, num_classes: int = 4):
         self.image_size = image_size
         self.channels = channels
         self.num_classes = num_classes
-        self.amplitude = amplitude
-        self.jitter = jitter
         # class k -> modes (0, k%3+1) and (k%3+1, 0): all inside radial bin 3
         self.class_modes = [
             ((0, k % 3 + 1), (k % 3 + 1, 0)) for k in range(num_classes)
@@ -76,8 +73,6 @@ class BandlimitedDataset:
 
 
 class GaussianDataset:
-    name = "gaussian"
-
     def __init__(self, image_size: int = 8, channels: int = 1, data_std: float = 1.5):
         self.image_size = image_size
         self.channels = channels
@@ -90,8 +85,6 @@ class GaussianDataset:
 
 
 class PointMassDataset:
-    name = "pointmass"
-
     def __init__(self, image_size: int = 8, channels: int = 1, value: float = 1.0):
         self.image_size = image_size
         self.channels = channels

@@ -61,14 +61,12 @@ def _kernel_mean(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
     return np.mean(d)
 
 
-def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: float | None = None) -> float:
+def mmd_rbf(x: np.ndarray, y: np.ndarray) -> float:
     """RBF-kernel maximum mean discrepancy (biased V-statistic, >= 0).
 
-    The kernel scale defaults to the median heuristic: gamma = 1 / median
-    of the pooled pairwise squared distances, which keeps the statistic
-    deterministic and comparable across calls on the same data. A given
-    bandwidth must be a finite number > 0; anything else raises
-    ValueError.
+    The kernel scale is the median heuristic: gamma = 1 / median of the
+    pooled pairwise squared distances, which keeps the statistic
+    deterministic and comparable across calls on the same data.
 
     Memory: one distance matrix is live at a time, so the peak is the
     largest of n_x², n_y² and n_x·n_y doubles plus, for the median, one
@@ -83,11 +81,7 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: float | None = None) -> flo
         raise ValueError("mmd needs at least two samples per side")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    if bandwidth is None:
-        bandwidth = _median_bandwidth(x, y)
-    elif not (np.isfinite(bandwidth) and bandwidth > 0):
-        raise ValueError(f"bandwidth must be a finite number > 0, got {bandwidth}")
-    gamma = 1.0 / bandwidth
+    gamma = 1.0 / _median_bandwidth(x, y)
     stat = (_kernel_mean(x, x, gamma) + _kernel_mean(y, y, gamma)
             - 2.0 * _kernel_mean(x, y, gamma))
     return float(np.sqrt(max(stat, 0.0)))

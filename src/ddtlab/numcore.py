@@ -279,24 +279,20 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        out_data = self.data.sum(axis=axis)
 
         def backward(g):
             if not self.requires_grad:
                 return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape))
-            else:
-                gk = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(gk, self.shape))
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return Tensor._node(out_data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.size if axis is None else np.prod(
-            [self.shape[a] for a in np.atleast_1d(axis)])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
+    def mean(self):
+        return self.sum() * (1.0 / float(self.size))
 
     # -- shape manipulation ----------------------------------------------------------
 

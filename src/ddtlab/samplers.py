@@ -41,7 +41,6 @@ __all__ = [
 @dataclass(frozen=True)
 class TimeGrid:
     nodes: np.ndarray
-    shift: float
 
     @property
     def steps(self) -> int:
@@ -63,9 +62,9 @@ def make_timegrid(num_steps: int, shift: float = 1.0) -> TimeGrid:
         raise ValueError("shift must be >= 1")
     u = np.arange(num_steps + 1) / num_steps
     if shift == 1.0:
-        return TimeGrid(nodes=u, shift=1.0)
+        return TimeGrid(nodes=u)
     t = u / (u + shift * (1.0 - u))
-    return TimeGrid(nodes=t, shift=float(shift))
+    return TimeGrid(nodes=t)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ __all__ = [
     "SharingPlan",
     "STRATEGIES",
     "BRUTEFORCE_MAX_N",
-    "DPState",
     "probe_similarity",
     "segment_utility",
     "utility_table",
@@ -137,15 +136,6 @@ class SharingPlan:
         return self.anchors[bisect_right(self.anchors, i) - 1]
 
 
-@dataclass(frozen=True)
-class DPState:
-    """cost[k-1][i]: negated best utility covering steps i..N-1 with k
-    anchors, the first at i (the minimal-sum-path orientation); path holds
-    the successor anchor, -1 at the last level or where invalid."""
-    cost: np.ndarray
-    path: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # utilities over segments
 # ---------------------------------------------------------------------------
@@ -201,7 +191,7 @@ def plan_uniform(N: int, K: int) -> SharingPlan:
     return SharingPlan(N=N, anchors=anchors, strategy="uniform")
 
 
-def plan_dp(S, K: int, return_state: bool = False):
+def plan_dp(S, K: int) -> SharingPlan:
     """Exact maximizer of the plan utility; ties broken toward the
     lexicographically smallest anchor set (first argmax at each level)."""
     s = _as_matrix(S)
@@ -227,11 +217,8 @@ def plan_dp(S, K: int, return_state: bool = False):
     for k in range(K, 1, -1):
         i = int(path[k - 1, i])
         anchors.append(i)
-    plan = SharingPlan(N=n, anchors=tuple(anchors), strategy="dp",
+    return SharingPlan(N=n, anchors=tuple(anchors), strategy="dp",
                        utility=_fold_utility(w, tuple(anchors), n))
-    if return_state:
-        return plan, DPState(cost=-best, path=path)
-    return plan
 
 
 def plan_bruteforce(S, K: int) -> SharingPlan:

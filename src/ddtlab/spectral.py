@@ -26,10 +26,8 @@ from .files import atomic_write
 __all__ = [
     "SpectrumProfile",
     "radial_bin_map",
-    "num_radial_bins",
     "dct_matrix",
     "dct2",
-    "idct2",
     "radial_spectrum",
     "retained_frequency",
     "lemma_bound",
@@ -47,10 +45,6 @@ def radial_bin_map(n: int) -> np.ndarray:
     out = np.floor(r).astype(np.int64)
     out.setflags(write=False)
     return out
-
-
-def num_radial_bins(n: int) -> int:
-    return int(radial_bin_map(n).max()) + 1
 
 
 @lru_cache(maxsize=64)
@@ -75,14 +69,6 @@ def dct2(x: np.ndarray) -> np.ndarray:
     m_r = dct_matrix(x.shape[-2])
     m_c = dct_matrix(x.shape[-1])
     return m_r @ x @ m_c.T
-
-
-def idct2(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of dct2: m_r.T @ coeffs @ m_c."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    m_r = dct_matrix(coeffs.shape[-2])
-    m_c = dct_matrix(coeffs.shape[-1])
-    return m_r.T @ coeffs @ m_c
 
 
 def radial_spectrum(images: np.ndarray) -> np.ndarray:
@@ -160,16 +146,14 @@ def empirical_noisy_spectrum(images: np.ndarray, t: float,
     return radial_spectrum(noisy)
 
 
-def write_spectrum_csv(path, profile: SpectrumProfile,
-                       empirical: np.ndarray | None = None) -> None:
+def write_spectrum_csv(path, profile: SpectrumProfile, empirical: np.ndarray) -> None:
     """CSV with one row per radial bin: freq,c_data,c_noisy_analytic,
-    c_noisy_empirical (empty empirical column when not provided)."""
+    c_noisy_empirical."""
     analytic = profile.coefficients
-    if empirical is not None and len(empirical) != len(analytic):
+    if len(empirical) != len(analytic):
         raise ValueError("empirical spectrum length does not match profile")
     with atomic_write(path) as fh:
         fh.write("freq,c_data,c_noisy_analytic,c_noisy_empirical\n")
         for i in range(len(analytic)):
-            emp = "" if empirical is None else f"{empirical[i]:.17g}"
             fh.write(f"{i},{profile.data_coefficients[i]:.17g},"
-                     f"{analytic[i]:.17g},{emp}\n")
+                     f"{analytic[i]:.17g},{empirical[i]:.17g}\n")

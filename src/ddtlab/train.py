@@ -71,7 +71,6 @@ class LossReport:
     loss_dec: float
     loss_enc: float
     total: float
-    alignment_weight: float
     skipped: bool = False
     grad_norm: float = math.nan  # L2 norm of the step's gradient
     step_ms: float = math.nan    # wall time of the step, batch assembly included
@@ -142,19 +141,20 @@ def flow_matching_loss(model: DDTModel, batch: TrainBatch,
                        alignment_weight: float = 0.5) -> LossReport:
     loss_dec, loss_enc, total = loss_terms(model, batch, alignment_weight)
     return LossReport(loss_dec=loss_dec.item(), loss_enc=loss_enc.item(),
-                      total=total.item(), alignment_weight=float(alignment_weight))
+                      total=total.item())
 
 
 class Adam:
     """Adam with decoupled weight decay omitted (the training recipe uses
-    weight decay 0), constant learning rate, no warmup, no clipping."""
+    weight decay 0), constant learning rate, no warmup, no clipping.
+    A checkpoint does not store beta1, beta2 or eps, so they are fixed
+    here: a resume always continues with the values it started with."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
         self.params = params
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.step_count = 0
@@ -276,7 +276,7 @@ def train_step(model: DDTModel, optimizer: Adam, batch: TrainBatch,
     for name, p in model.named_parameters():
         p.grad = reduce(_sum_grads, (slice_grads[name] for slice_grads in grads))
     losses = [reduce(operator.add, terms) for terms in zip(*losses)]
-    report = LossReport(*losses, alignment_weight=float(alignment_weight))
+    report = LossReport(*losses)
     squares = 0.0
     # np.square, not np.vdot: a large BLAS dot wakes OpenBLAS's threads,
     # which then spin on the core the next step's second half runs on

@@ -334,6 +334,21 @@ def test_plan_and_diagnose_manifests_record_environment(tmp_path, tiny_ckpt, com
         assert env["row_slices"] is None
 
 
+@pytest.mark.parametrize("command", ["train", "sample", "plan", "diagnose"])
+def test_manifest_hashes_every_output(tmp_path, tiny_ckpt, command):
+    extra = {"train": ["--config", str(write_config(tmp_path / "config.txt", steps=2))],
+             "sample": ["--checkpoint", str(tiny_ckpt), "--steps", "2", "--num", "4"],
+             "plan": ["--checkpoint", str(tiny_ckpt), "--steps", "4",
+                      "--probe-size", "4", "--budget", "2"],
+             "diagnose": ["--checkpoint", str(tiny_ckpt), "--steps", "4", "--probe-size", "4",
+                          "--t-list", "0.2,0.5", "--trials", "50"]}[command]
+    out = tmp_path / "o"
+    assert main([command, *extra, "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert set(outputs) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert outputs == {name: sha256(out / name) for name in outputs}
+
+
 def test_manifest_records_thread_variables_and_the_slice_worker(tmp_path, tiny_ckpt):
     """A 32-row sample: its slices run in the worker process with the
     default BLAS threads (when there are two or more), not with one."""
@@ -567,6 +582,8 @@ OUT_OF_RANGE = [
     ("sample", ["--shift", "nan"]),
     ("sample", ["--shift", "inf"]),
     ("sample", ["--cfg-w", "inf"]),
+    ("diagnose", ["--t-list", "0.101,0.104"]),
+    ("diagnose", ["--t-list", "0.5,0.5"]),
 ]
 
 

@@ -83,7 +83,7 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             make_timegrid(10, 0.5)
         with pytest.raises(ValueError):
-            TimeGrid(nodes=np.array([0.0, 0.5, 0.4, 1.0]), shift=1.0)
+            TimeGrid(nodes=np.array([0.0, 0.5, 0.4, 1.0]))
 
 
 class TestEuler:
@@ -346,7 +346,7 @@ class TestModelField:
         x0 = np.random.default_rng(6).standard_normal((1, 1, 4, 4))
         field = model_velocity_field(model, y=[1])
         a = euler_sample(field, x0, make_timegrid(4, 1.0))
-        b = euler_sample(field, x0, TimeGrid(nodes=np.arange(5) / 4, shift=1.0))
+        b = euler_sample(field, x0, TimeGrid(nodes=np.arange(5) / 4))
         assert np.array_equal(a, b)
 
 

@@ -13,9 +13,7 @@ from ddtlab.spectral import (
     SpectrumProfile,
     dct2,
     empirical_noisy_spectrum,
-    idct2,
     lemma_bound,
-    num_radial_bins,
     radial_bin_map,
     radial_spectrum,
     retained_frequency,
@@ -36,8 +34,7 @@ def test_radial_bins_hand_computed():
         [3, 3, 3, 4],
     ])
     assert np.array_equal(bins, expected)
-    assert num_radial_bins(4) == 5
-    assert num_radial_bins(8) == 10  # floor(sqrt(49+49)) = 9
+    assert radial_bin_map(8).max() == 9  # floor(sqrt(49+49))
 
 
 def test_dct2_matches_scipy():
@@ -46,18 +43,15 @@ def test_dct2_matches_scipy():
     mine = dct2(x)
     ref = scipy.fft.dctn(x, axes=(-2, -1), norm="ortho")
     assert np.allclose(mine, ref, atol=1e-12)
-    assert np.allclose(idct2(mine), x, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 5, 9), (0, 8, 8)])
 def test_dct2_and_idct2_match_scipy_on_batches(shape):
     x = np.random.default_rng(3).normal(size=shape)
-    fwd, inv = dct2(x), idct2(x)
-    assert fwd.shape == inv.shape == shape
+    fwd = dct2(x)
+    assert fwd.shape == shape
     np.testing.assert_allclose(
         fwd, scipy.fft.dctn(x, axes=(-2, -1), norm="ortho"), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        inv, scipy.fft.idctn(x, axes=(-2, -1), norm="ortho"), rtol=0, atol=1e-12)
 
 
 def test_dct2_parseval():
@@ -231,20 +225,6 @@ def test_mmd_validation():
         mmd_rbf(np.ones((4, 3)), np.ones((4, 2)))
 
 
-@pytest.mark.parametrize("bandwidth", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
-def test_mmd_rejects_bad_bandwidth(bandwidth):
-    # -1 once returned 0.0 for clearly different batches, nan returned
-    # NaN and 0 raised ZeroDivisionError
-    x = np.random.default_rng(7).normal(size=(8, 4))
-    with pytest.raises(ValueError, match="bandwidth"):
-        mmd_rbf(x, x + 1.0, bandwidth=bandwidth)
-
-
-def test_mmd_accepts_positive_bandwidth():
-    x = np.random.default_rng(7).normal(size=(8, 4))
-    assert mmd_rbf(x, x + 1.0, bandwidth=2.0) > 0.0
-
-
 def test_mmd_deterministic():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(32, 4))
@@ -252,7 +232,7 @@ def test_mmd_deterministic():
     assert mmd_rbf(a, b) == mmd_rbf(a, b)
 
 
-def reference_mmd_rbf(x, y, bandwidth=None):
+def reference_mmd_rbf(x, y):
     """The whole-matrix formula that mmd_rbf evaluates in place, kept as
     it was written before as the bit-exactness oracle."""
     def sq_dists(a, b):
@@ -266,27 +246,24 @@ def reference_mmd_rbf(x, y, bandwidth=None):
     d_xx = sq_dists(x, x)
     d_yy = sq_dists(y, y)
     d_xy = sq_dists(x, y)
-    if bandwidth is None:
-        pooled = np.concatenate([
-            d_xx[np.triu_indices(len(x), k=1)],
-            d_yy[np.triu_indices(len(y), k=1)],
-            d_xy.ravel(),
-        ])
-        med = float(np.median(pooled))
-        bandwidth = med if med > 0 else 1.0
-    gamma = 1.0 / bandwidth
+    pooled = np.concatenate([
+        d_xx[np.triu_indices(len(x), k=1)],
+        d_yy[np.triu_indices(len(y), k=1)],
+        d_xy.ravel(),
+    ])
+    med = float(np.median(pooled))
+    gamma = 1.0 / (med if med > 0 else 1.0)
     stat = (np.mean(np.exp(-gamma * d_xx)) + np.mean(np.exp(-gamma * d_yy))
             - 2.0 * np.mean(np.exp(-gamma * d_xy)))
     return float(np.sqrt(max(stat, 0.0)))
 
 
 @pytest.mark.parametrize("case", ["few", "blocks", "reference_set", "same_array",
-                                  "equal_copy", "all_equal_rows", "bandwidth"])
+                                  "equal_copy", "all_equal_rows"])
 def test_mmd_matches_whole_matrix_formula_bit_for_bit(case):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(37, 12)) * 3.0
     y = rng.normal(size=(300, 12)) + 0.5
-    bandwidth = None
     if case == "few":  # fewer rows than one block, odd sizes
         x, y = x[:3], y[:5]
     elif case == "reference_set":  # the sample workload's 64 vs 1024 images
@@ -298,9 +275,7 @@ def test_mmd_matches_whole_matrix_formula_bit_for_bit(case):
         y = x.copy()
     elif case == "all_equal_rows":  # median 0 falls back to bandwidth 1
         x, y = np.ones((6, 4)), np.ones((9, 4))
-    elif case == "bandwidth":
-        bandwidth = 7.5
-    assert mmd_rbf(x, y, bandwidth) == reference_mmd_rbf(x, y, bandwidth)
+    assert mmd_rbf(x, y) == reference_mmd_rbf(x, y)
 
 
 def test_mmd_peak_memory_at_reference_set_size():

@@ -593,7 +593,7 @@ class TestConfigAndMetrics:
             parse_train_config(line)
 
     def test_metrics_csv(self, tmp_path):
-        hist = [LossReport(1.5, 0.5, 1.75, 0.5), LossReport(1.2, 0.4, 1.4, 0.5)]
+        hist = [LossReport(1.5, 0.5, 1.75), LossReport(1.2, 0.4, 1.4)]
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, hist)
         lines = path.read_text().splitlines()
