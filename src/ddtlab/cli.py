@@ -3,8 +3,9 @@
 Subcommands: train | sample | plan | diagnose. Every command derives all
 randomness from --seed via named substreams, writes its primary outputs
 atomically (temp-and-rename), and drops a manifest.json recording inputs
-and outputs (each with its sha256), settings and the run environment so
-a run can be audited and replayed.
+and outputs (each with its sha256), settings (every flag as parsed),
+derived (what the command worked out from its flags) and the run
+environment, so a run can be audited and replayed.
 
 Exit codes: 0 success, 2 usage error (an input too large for memory
 among them), 3 data/format error, 4 numerical failure, 130 interrupted
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -118,17 +120,20 @@ def _environment(slices: int | None, regions_before: int) -> dict:
     }
 
 
-def _write_manifest(out_dir: str, command: str, seed: int, inputs: list,
-                    outputs: list[str], settings: dict, environment: dict) -> None:
+def _write_manifest(args, seed: int, inputs: list, outputs: list[str],
+                    environment: dict, **derived) -> None:
+    """manifest.json in args.out: settings is every flag as parsed, and
+    derived is what the command worked out from its flags."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "seed": seed,
         "inputs": {str(p): _checksum_file(p) for p in inputs},
-        "outputs": {name: _checksum_file(os.path.join(out_dir, name)) for name in outputs},
-        "settings": settings,
+        "outputs": {name: _checksum_file(os.path.join(args.out, name)) for name in outputs},
+        "settings": {k: v for k, v in vars(args).items() if k != "func"},
+        "derived": derived,
         "environment": environment,
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +172,7 @@ def cmd_train(args) -> int:
                          f"nothing to do for steps={config.steps}")
 
     os.makedirs(args.out, exist_ok=True)
-    dataset = dataset_for(config, model.config)
+    dataset = dataset_for(config.dataset, model.config)
     history, optimizer = train(
         model, dataset, steps=config.steps, batch_size=config.batch,
         seed=config.seed, alignment_weight=config.alignment_weight,
@@ -181,13 +186,9 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, model.config, arrays)
     metrics_path = os.path.join(args.out, "metrics.csv")
     write_metrics_csv(metrics_path, history, start_step=start_step)
-    _write_manifest(args.out, "train", config.seed, inputs,
-                    ["checkpoint.ckpt", "metrics.csv"],
-                    {"preset": config.preset, "steps": config.steps,
-                     "batch": config.batch, "dataset": config.dataset,
-                     "alignment_weight": config.alignment_weight,
-                     "lr": config.lr, "start_step": start_step},
-                    _environment(row_slices(config.batch), regions))
+    _write_manifest(args, config.seed, inputs, ["checkpoint.ckpt", "metrics.csv"],
+                    _environment(row_slices(config.batch), regions),
+                    config=dataclasses.asdict(config), start_step=start_step)
     last = history[-1]
     print(f"trained {config.steps - start_step} steps; "
           f"loss_dec {last.loss_dec:.4f} loss_enc {last.loss_enc:.4f}")
@@ -222,6 +223,9 @@ def cmd_sample(args) -> int:
         guidance = GuidanceSpec(w=args.cfg_w, interval=(a, b))
     branches = 2 if guidance is not None else 1
 
+    # the grid first: a --steps too large for memory fails here, before
+    # plan_uniform's loop over the anchors
+    grid = make_timegrid(args.steps, shift=args.shift)
     plan = None
     if args.plan is not None and args.share_ratio is not None:
         raise UsageError("--plan and --share-ratio are mutually exclusive")
@@ -233,7 +237,6 @@ def cmd_sample(args) -> int:
     elif args.share_ratio is not None:
         plan = plan_uniform(args.steps, _budget_from_ratio(args.steps, args.share_ratio))
 
-    grid = make_timegrid(args.steps, shift=args.shift)
     shape = (args.num, model.config.channels, model.config.image_size,
              model.config.image_size)
     x0 = substream(args.seed, "noise").standard_normal(shape)
@@ -253,9 +256,7 @@ def cmd_sample(args) -> int:
         raise NumericalError(
             f"decoder NFE {model.nfe_decoder} != {args.steps}*{branches}")
 
-    dataset = make_dataset(args.dataset, image_size=model.config.image_size,
-                           channels=model.config.channels,
-                           num_classes=model.config.num_classes)
+    dataset = dataset_for(args.dataset, model.config)
     held, _ = dataset.sample(substream(args.seed, "eval"), args.num)
     noise = substream(args.seed, "noise-baseline").standard_normal(held.shape)
 
@@ -274,14 +275,7 @@ def cmd_sample(args) -> int:
     with atomic_write(os.path.join(args.out, "samples.npy"), binary=True) as fh:
         np.save(fh, samples)
     _write_json(os.path.join(args.out, "eval.json"), report)
-    _write_manifest(args.out, "sample", args.seed, inputs,
-                    ["samples.npy", "eval.json"],
-                    {"steps": args.steps, "shift": args.shift,
-                     "solver": args.solver, "cfg_w": args.cfg_w,
-                     "cfg_interval": [a, b], "num": args.num,
-                     "dataset": args.dataset,
-                     "share_ratio": args.share_ratio,
-                     "plan": args.plan},
+    _write_manifest(args, args.seed, inputs, ["samples.npy", "eval.json"],
                     _environment(row_slices(args.num), regions))
     print(f"sampled {args.num}; mmd {report['mmd']:.4f} "
           f"(noise baseline {report['mmd_noise_baseline']:.4f}); "
@@ -324,12 +318,9 @@ def cmd_plan(args) -> int:
         n = sim.N
     else:
         n = args.steps
-    if args.budget is not None:
-        k = args.budget
-    elif args.share_ratio is not None:
-        k = _budget_from_ratio(n, args.share_ratio)
-    else:
-        raise UsageError("provide a budget via --budget or --share-ratio")
+    if (args.budget is None) == (args.share_ratio is None):
+        raise UsageError("provide exactly one of --budget or --share-ratio")
+    k = args.budget if args.budget is not None else _budget_from_ratio(n, args.share_ratio)
     if not 1 <= k <= n:
         raise UsageError(f"--budget {k} out of range [1, {n}]")
     if args.strategy == "bruteforce" and n > BRUTEFORCE_MAX_N:
@@ -355,10 +346,8 @@ def cmd_plan(args) -> int:
     if args.checkpoint is not None:
         write_similarity(os.path.join(args.out, "similarity.npy"), sim)
         outputs.append("similarity.npy")
-    _write_manifest(args.out, "plan", args.seed, inputs, outputs,
-                    {"strategy": args.strategy, "budget": k, "steps": n,
-                     "share_ratio": args.share_ratio},
-                    _environment(_probe_slices(args), regions))
+    _write_manifest(args, args.seed, inputs, outputs,
+                    _environment(_probe_slices(args), regions), N=n, K=k)
     print(f"plan {args.strategy}: K={plan.K}/{n}, utility {plan.utility:.6f}, "
           f"anchors {','.join(str(v) for v in plan.anchors)}")
     return 0
@@ -422,10 +411,8 @@ def cmd_diagnose(args) -> int:
         write_similarity(os.path.join(args.out, "similarity.npy"), sim)
         outputs.extend(["similarity.csv", "similarity.npy"])
 
-    _write_manifest(args.out, "diagnose", args.seed, inputs, outputs,
-                    {"dataset": args.dataset, "t_list": t_list,
-                     "trials": args.trials, "steps": args.steps},
-                    _environment(_probe_slices(args), regions))
+    _write_manifest(args, args.seed, inputs, outputs,
+                    _environment(_probe_slices(args), regions), t_list=t_list)
     print(f"wrote {len(outputs)} diagnostic files to {args.out}")
     return 0
 
@@ -442,6 +429,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "plan encoder sharing, and run spectral diagnostics "
                     "on desk-scale synthetic data.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # the probe flags plan and diagnose share
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--seed", type=int, default=0,
+                       help="seed of every random draw")
+    probe.add_argument("--steps", type=int, default=20,
+                       help="probe grid size N (with --checkpoint)")
+    probe.add_argument("--shift", type=float, default=1.0,
+                       help="timeshift parameter s >= 1 of the probe grid")
+    probe.add_argument("--solver", choices=sorted(SOLVER_ORDERS), default="euler",
+                       help="ODE solver of the probe trajectory")
+    probe.add_argument("--probe-size", type=int, default=8,
+                       help="probe batch size (with --checkpoint)")
 
     p_train = sub.add_parser("train", help="flow-matching training run")
     p_train.add_argument("--config", required=True, help="key=value config file")
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_plan = sub.add_parser(
-        "plan", help="compute an encoder-sharing plan",
+        "plan", parents=[probe], help="compute an encoder-sharing plan",
         description="Compute an encoder-sharing plan from a similarity file "
                     "or by probing a checkpoint. The probe runs the "
                     "conditional, unguided field even when sampling will use "
@@ -493,40 +493,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--checkpoint", default=None,
                         help="probe this checkpoint instead, and also "
                              "write the matrix as similarity.npy")
-    p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--steps", type=int, default=20,
-                        help="probe grid size N (with --checkpoint)")
-    p_plan.add_argument("--shift", type=float, default=1.0)
-    p_plan.add_argument("--solver", choices=sorted(SOLVER_ORDERS),
-                        default="euler")
     p_plan.add_argument("--budget", type=int, default=None,
                         help="anchor budget K")
     p_plan.add_argument("--share-ratio", type=float, default=None,
                         help="derive K = ceil(N*(1-r)) instead of --budget")
     p_plan.add_argument("--strategy", choices=list(STRATEGIES),
                         default="dp")
-    p_plan.add_argument("--probe-size", type=int, default=8,
-                        help="probe batch size (with --checkpoint)")
     p_plan.add_argument("--out", default="runs/plan")
     p_plan.set_defaults(func=cmd_plan)
 
-    p_diag = sub.add_parser("diagnose", help="spectral and similarity dumps")
+    p_diag = sub.add_parser("diagnose", parents=[probe],
+                            help="spectral and similarity dumps")
     p_diag.add_argument("--dataset", choices=DATASETS, default="bandlimited")
     p_diag.add_argument("--checkpoint", default=None,
                         help="also probe step similarity of this model "
                              "(conditional, unguided field) and write it as "
                              "similarity.csv and similarity.npy")
-    p_diag.add_argument("--seed", type=int, default=0)
     p_diag.add_argument("--t-list", default="0.1,0.3,0.5,0.7,0.9",
                         help="comma-separated mixing times")
     p_diag.add_argument("--trials", type=int, default=2000,
                         help="Monte-Carlo sample count")
-    p_diag.add_argument("--steps", type=int, default=20,
-                        help="probe grid size N (with --checkpoint)")
-    p_diag.add_argument("--shift", type=float, default=1.0)
-    p_diag.add_argument("--solver", choices=sorted(SOLVER_ORDERS),
-                        default="euler")
-    p_diag.add_argument("--probe-size", type=int, default=8)
     p_diag.add_argument("--out", default="runs/diagnose")
     p_diag.set_defaults(func=cmd_diagnose)
 

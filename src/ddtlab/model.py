@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -72,11 +72,9 @@ class ModelConfig:
     teacher_dim: int = 32
 
     def __post_init__(self):
-        for field in ("encoder_layers", "decoder_layers", "hidden_dim", "heads",
-                      "patch_size", "image_size", "channels", "num_classes",
-                      "teacher_dim"):
-            if int(getattr(self, field)) < 1:
-                raise ValueError(f"{field} must be a positive int")
+        for field in fields(self):  # alignment_layer is checked below
+            if field.name != "alignment_layer" and int(getattr(self, field.name)) < 1:
+                raise ValueError(f"{field.name} must be a positive int")
         if self.hidden_dim % self.heads != 0:
             raise ValueError("hidden_dim must be divisible by heads")
         if self.hidden_dim % 2 != 0:
@@ -527,9 +525,8 @@ class DDTModel:
 
 CHECKPOINT_MAGIC = b"DDTCKPT1"
 
-_CONFIG_FIELDS = ("encoder_layers", "decoder_layers", "hidden_dim", "heads",
-                  "patch_size", "image_size", "channels", "num_classes",
-                  "alignment_layer", "teacher_dim")
+# the header's keys, in ModelConfig's field order
+_CONFIG_FIELDS = tuple(f.name for f in fields(ModelConfig))
 
 # Every block is the paper's (RMSNorm, SwiGLU, RoPE). The header still
 # names that style, on the line before teacher_dim, so the format is
@@ -585,24 +582,24 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         header = _decode(_read_exact(fh, header_len, "header"), "header")
-        fields: dict[str, str] = {}
+        values: dict[str, str] = {}
         for line in header.splitlines():
             if not line.strip():
                 continue
             if "=" not in line:
                 raise FormatError(f"malformed header line {line!r}")
             key, _, value = line.partition("=")
-            if key.strip() in fields:
+            if key.strip() in values:
                 raise FormatError(f"checkpoint header repeats key {key.strip()!r}")
-            fields[key.strip()] = value.strip()
-        style = fields.get(_STYLE_KEY)
+            values[key.strip()] = value.strip()
+        style = values.get(_STYLE_KEY)
         if style != _STYLE:
             raise FormatError(f"checkpoint block style {style!r} is not {_STYLE!r}")
-        missing = [f for f in _CONFIG_FIELDS if f not in fields]
+        missing = [f for f in _CONFIG_FIELDS if f not in values]
         if missing:
             raise FormatError(f"checkpoint header missing fields {missing}")
         try:
-            config = ModelConfig(**{field: int(fields[field]) for field in _CONFIG_FIELDS})
+            config = ModelConfig(**{field: int(values[field]) for field in _CONFIG_FIELDS})
         except ValueError as exc:
             raise FormatError(f"checkpoint header invalid: {exc}") from exc
         arrays: dict[str, np.ndarray] = {}

@@ -186,7 +186,7 @@ def adams_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
                  recorder: TrajectoryRecorder | None = None) -> np.ndarray:
     """Adams-Bashforth of the given order (1, 2 or 3) with a warm-up of
     lower orders; order 1 is Euler bit for bit."""
-    if order not in (1, 2, 3):
+    if order not in SOLVER_ORDERS.values():
         raise ValueError("order must be 1, 2, or 3")
     return _integrate(velocity_field, x_0, grid, order, recorder)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial, reduce
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "sample_timestep_lognorm",
     "alignment_loss",
     "loss_terms",
-    "flow_matching_loss",
     "Adam",
     "train_step",
     "make_batch",
@@ -135,13 +134,6 @@ def loss_terms(model: DDTModel, batch: TrainBatch,
     loss_enc = alignment_loss(projected, r_star)
     total = loss_dec + float(alignment_weight) * loss_enc
     return loss_dec, loss_enc, total
-
-
-def flow_matching_loss(model: DDTModel, batch: TrainBatch,
-                       alignment_weight: float = 0.5) -> LossReport:
-    loss_dec, loss_enc, total = loss_terms(model, batch, alignment_weight)
-    return LossReport(loss_dec=loss_dec.item(), loss_enc=loss_enc.item(),
-                      total=total.item())
 
 
 class Adam:
@@ -382,16 +374,8 @@ class TrainConfig:
         return self
 
 
-_CONFIG_PARSERS = {
-    "preset": str,
-    "seed": int,
-    "steps": int,
-    "batch": int,
-    "alignment_weight": float,
-    "dataset": str,
-    "lr": float,
-    "label_drop": float,
-}
+# each key parses as the type of its default
+_CONFIG_PARSERS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 def parse_train_config(text: str) -> TrainConfig:
@@ -419,7 +403,8 @@ def parse_train_config(text: str) -> TrainConfig:
     return TrainConfig(**values).validate()
 
 
-def dataset_for(config: TrainConfig, model_config) -> object:
-    return make_dataset(config.dataset, image_size=model_config.image_size,
+def dataset_for(name: str, model_config) -> object:
+    """The named dataset at the model's image size, channels and classes."""
+    return make_dataset(name, image_size=model_config.image_size,
                         channels=model_config.channels,
                         num_classes=model_config.num_classes)

@@ -31,7 +31,7 @@ from ddtlab.sharesched import (
     sample_with_sharing,
 )
 from ddtlab.spectral import SpectrumProfile, empirical_noisy_spectrum, lemma_bound, radial_spectrum, retained_frequency
-from ddtlab.train import TrainBatch, flow_matching_loss, interpolate, loss_terms, train
+from ddtlab.train import TrainBatch, interpolate, loss_terms, train
 
 
 def report(num: int, label: str, passed: bool, details: str) -> None:
@@ -205,7 +205,7 @@ def test_criterion_05_gradients_match_finite_differences():
         total.backward()
 
         def loss_at() -> float:
-            return flow_matching_loss(model, batch, alignment_weight=0.5).total
+            return loss_terms(model, batch, alignment_weight=0.5)[2].item()
 
         for name, p in model.named_parameters():
             idx = tuple(rng.integers(0, s) for s in p.data.shape)

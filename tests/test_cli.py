@@ -2,6 +2,7 @@
 resume continuity, sharing/guidance neutrality, and NFE accounting."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ from ddtlab.cli import build_parser, main
 from ddtlab.files import atomic_write
 from ddtlab.model import DDTModel, ModelConfig, load_checkpoint, preset, save_checkpoint
 from ddtlab.sharesched import plan_uniform, write_plan, write_similarity
+from ddtlab.train import parse_train_config
 
 
 # what every manifest's "environment" holds
@@ -165,11 +167,14 @@ def test_train_missing_config_exits_3(tmp_path):
 HUGE = "100000000000"
 
 
-@pytest.mark.parametrize("command", ["sample", "train", "diagnose"])
+@pytest.mark.parametrize("command", ["sample", "train", "diagnose", "sample-share-ratio"])
 def test_input_too_large_for_memory_exits_2_and_leaves_no_out(tmp_path, tiny_ckpt, capsys,
                                                              command):
     argv = {
         "sample": lambda: ["sample", "--checkpoint", str(tiny_ckpt), "--num", HUGE],
+        # the time grid, built before the plan's anchors are listed
+        "sample-share-ratio": lambda: ["sample", "--checkpoint", str(tiny_ckpt),
+                                       "--steps", HUGE, "--share-ratio", "0.5"],
         "train": lambda: ["train", "--config",
                           str(write_config(tmp_path / "config.txt", batch=HUGE))],
         "diagnose": lambda: ["diagnose", "--trials", HUGE],
@@ -347,6 +352,35 @@ def test_manifest_hashes_every_output(tmp_path, tiny_ckpt, command):
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     assert set(outputs) == {p.name for p in out.iterdir()} - {"manifest.json"}
     assert outputs == {name: sha256(out / name) for name in outputs}
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "plan", "diagnose"])
+def test_manifest_records_every_parsed_flag(tmp_path, tiny_ckpt, command):
+    """settings is every flag as parsed, and derived what the command worked
+    out from them; the values differ from the defaults where they can, so
+    a flag or config key left out of the manifest shows."""
+    config = write_config(tmp_path / "config.txt", steps=2, label_drop=0.9)
+    probe = ["--checkpoint", str(tiny_ckpt), "--steps", "4", "--probe-size", "2",
+             "--solver", "adams3", "--shift", "3", "--seed", "5"]
+    extra = {"train": ["--config", str(config)],
+             "sample": ["--checkpoint", str(tiny_ckpt), "--steps", "2", "--num", "4",
+                        "--solver", "adams2", "--share-ratio", "0.5", "--cfg-w", "2"],
+             "plan": [*probe, "--budget", "2", "--strategy", "uniform"],
+             "diagnose": [*probe, "--t-list", "0.2,0.5", "--trials", "50"]}[command]
+    argv = [command, *extra, "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["func"]
+    assert manifest["settings"] == parsed
+    assert manifest["derived"] == {
+        "train": {"config": dataclasses.asdict(parse_train_config(config.read_text())),
+                  "start_step": 0},
+        "sample": {},
+        "plan": {"N": 4, "K": 2},
+        "diagnose": {"t_list": [0.2, 0.5]}}[command]
+    if command == "train":
+        assert manifest["derived"]["config"]["label_drop"] == 0.9
 
 
 def test_manifest_records_thread_variables_and_the_slice_worker(tmp_path, tiny_ckpt):
@@ -584,6 +618,7 @@ OUT_OF_RANGE = [
     ("sample", ["--cfg-w", "inf"]),
     ("diagnose", ["--t-list", "0.101,0.104"]),
     ("diagnose", ["--t-list", "0.5,0.5"]),
+    ("plan", ["--budget", "3", "--share-ratio", "0.5"]),
 ]
 
 

@@ -26,7 +26,6 @@ from ddtlab.train import (
     LossReport,
     TrainBatch,
     alignment_loss,
-    flow_matching_loss,
     interpolate,
     loss_terms,
     make_batch,
@@ -145,9 +144,9 @@ class TestFlowMatchingLoss:
         cfg = tiny_config()
         model = DDTModel(cfg, seed=4)
         batch = tiny_batch(np.random.default_rng(0), cfg)
-        report = flow_matching_loss(model, batch)
+        loss_dec, _, _ = loss_terms(model, batch, alignment_weight=0.5)
         expected = np.mean((batch.x_data - batch.eps) ** 2)
-        assert report.loss_dec == pytest.approx(expected, rel=1e-12)
+        assert loss_dec.item() == pytest.approx(expected, rel=1e-12)
 
     def test_data_equals_noise_gives_zero(self):
         cfg = tiny_config()
@@ -155,18 +154,19 @@ class TestFlowMatchingLoss:
         x = np.random.default_rng(1).standard_normal((3, 1, 4, 4))
         batch = TrainBatch(x_data=x, y=np.zeros(3, dtype=np.int64), eps=x.copy(),
                            t=np.full(3, 0.4))
-        report = flow_matching_loss(model, batch)
-        assert report.loss_dec == 0.0
+        loss_dec, _, _ = loss_terms(model, batch, alignment_weight=0.5)
+        assert loss_dec.item() == 0.0
 
     def test_decomposition_identity_exact(self):
         cfg = tiny_config()
         model = DDTModel(cfg, seed=4)
         batch = tiny_batch(np.random.default_rng(2), cfg)
         for w in (0.0, 0.5, 1.7):
-            rep = flow_matching_loss(model, batch, alignment_weight=w)
-            assert rep.total == rep.loss_dec + w * rep.loss_enc
-            assert rep.loss_dec >= 0.0
-            assert 0.0 <= rep.loss_enc <= 2.0
+            loss_dec, loss_enc, total = (
+                v.item() for v in loss_terms(model, batch, alignment_weight=w))
+            assert total == loss_dec + w * loss_enc
+            assert loss_dec >= 0.0
+            assert 0.0 <= loss_enc <= 2.0
 
     def test_nonfinite_forward_aborts(self):
         cfg = tiny_config()
@@ -174,7 +174,7 @@ class TestFlowMatchingLoss:
         model.params["final.proj.b"].data[:] = np.inf
         batch = tiny_batch(np.random.default_rng(3), cfg)
         with pytest.raises(NumericalError):
-            flow_matching_loss(model, batch)
+            loss_terms(model, batch, alignment_weight=0.5)
 
 
 class TestTrainStep:
