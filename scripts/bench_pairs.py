@@ -15,13 +15,13 @@ export, on that side's ddtlab, so both sides print the same keys.
 For every workload of BENCHMARK.json, pair i runs `perfbench/run.py`
 at seed SEED0 + i on both sides with the command and run length of
 BENCHMARK.json, the parent first in even pairs and the working tree
-first in odd ones. The result
-goes to BENCH_<label>.json: every run's end-to-end metrics, the sha256
-of each side's desk checkpoint, each side's output hashes and, per key,
-whether they agree (`outputs_identical`; a key that only one side
-printed reads false), and per workload and metric each side's
-min, quartiles and median, its wins over the pairs (ties count for
-neither), the change of the median against the metric's bound and
+first in odd ones. The result goes to BENCH_<label>.json: every run's
+end-to-end metrics, the sha256 of each side's desk checkpoint, each
+side's output hashes and, per key, whether they agree
+(`outputs_identical`; a key that only one side printed reads false, and
+so does a side that printed no keys), and per workload and metric each
+side's min, quartiles and median, its wins over the pairs (ties count
+for neither), the change of the median against the metric's bound and
 `gain_shown`: the working tree won at least nine tenths of the pairs and
 its median is better than the parent's by more than the parent's
 interquartile range (q3 - q1). Each workload also gets each side's
@@ -141,16 +141,18 @@ def sha256(path: Path) -> str:
 
 def output_hashes(side_root: Path) -> dict[str, str]:
     """The `key sha256` lines of the working tree's output_hashes.py run
-    on one side's ddtlab; empty, with a note, when the script fails, since
-    this gate reports and does not stop the run."""
+    on one side's ddtlab; if there are none (the script failed, with a
+    note), a `<side> printed no keys` key that the other side lacks."""
     env = dict(os.environ, PYTHONPATH=str(side_root / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "output_hashes.py")],
                           cwd=side_root, env=env, capture_output=True, text=True)
+    hashes = {}
     if proc.returncode != 0:
         print(f"output_hashes.py in {side_root} exited {proc.returncode}:\n"
               f"{proc.stderr[-2000:]}", file=sys.stderr)
-        return {}
-    return dict(line.split() for line in proc.stdout.strip().splitlines())
+    else:
+        hashes = dict(line.split() for line in proc.stdout.strip().splitlines())
+    return hashes or {f"{side_root.name} printed no keys": "none"}
 
 
 def main() -> int:

@@ -12,9 +12,10 @@ bit. The keys:
   weights_blas1  the same in a child process with OPENBLAS_NUM_THREADS=1,
                  where both row slices run in the calling process; it
                  must equal `weights`
-  sample/<mode>  64 images in 50 steps from those weights in the five
-                 modes of the sample benchmark (euler, cfg, uniform, dp,
-                 adams2), with the encoder and decoder NFE counts
+  sample/<mode>  the sample benchmark's request in each of its modes, on
+                 those weights, with the encoder and decoder NFE counts:
+                 the mode table, inputs and plans come from
+                 perfbench/workloads.py (SampleWorkload.setup at seed 0)
   plan/<name>    the dp and uniform plans, anchors and utility, on a
                  seeded N=250 cosine similarity matrix at share ratio 0.75
   diagnose       the spectrum CSVs of `ddtlab diagnose` with its defaults
@@ -38,27 +39,17 @@ import numpy as np
 import ddtlab
 from ddtlab import cli, samplers, sharesched
 from ddtlab.datasets import make_dataset
-from ddtlab.model import DDTModel, preset
+from ddtlab.model import DDTModel, preset, save_checkpoint
 from ddtlab.rng import substream
 from ddtlab.train import train
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import SAMPLE_MODES, SAMPLE_STEPS, SHARE_RATIO, SampleWorkload  # noqa: E402
 
 SEED = 0
 TRAIN_STEPS = 12
 BATCH = 32
-SAMPLE_NUM = 64
-SAMPLE_STEPS = 50
-SHARE_RATIO = 0.75
-PROBE_SIZE = 8
 PLAN_STEPS = 250
-CFG = samplers.GuidanceSpec(w=1.5, interval=(0.3, 1.0))
-# (name, solver, shift, guidance, plan); plan None samples in full
-SAMPLE_MODES = (
-    ("euler", "euler", 1.0, None, None),
-    ("cfg", "euler", 1.0, CFG, None),
-    ("uniform", "euler", 1.0, None, "uniform"),
-    ("dp", "euler", 1.0, None, "dp"),
-    ("adams2", "adams2", 2.0, None, None),
-)
 
 
 def digest(*parts) -> str:
@@ -97,23 +88,17 @@ def weights_with_one_blas_thread() -> str:
 
 
 def sample_hashes(model: DDTModel) -> dict[str, str]:
-    c = model.config
-    shape = (SAMPLE_NUM, c.channels, c.image_size, c.image_size)
-    x0 = substream(SEED, "noise").standard_normal(shape)
-    y = substream(SEED, "labels").permutation(np.arange(SAMPLE_NUM) % c.num_classes)
-    probe_x0 = substream(SEED, "probe").standard_normal((PROBE_SIZE, *shape[1:]))
-    probe_y = substream(SEED, "probe-labels").integers(0, c.num_classes, size=PROBE_SIZE)
-    sim = sharesched.probe_similarity(model, probe_x0, samplers.make_timegrid(SAMPLE_STEPS),
-                                      probe_y)
-    k = cli._budget_from_ratio(SAMPLE_STEPS, SHARE_RATIO)
-    plans = {"uniform": sharesched.plan_uniform(SAMPLE_STEPS, k),
-             "dp": sharesched.plan_dp(sim, k)}
-    hashes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        save_checkpoint(path, model.config, model.state_arrays())
+        bench = SampleWorkload(SEED, path, tmp)
+        bench.setup()
+    model, hashes = bench.model, {}
     for mode, solver, shift, guidance, plan in SAMPLE_MODES:
         grid = samplers.make_timegrid(SAMPLE_STEPS, shift=shift)
         model.reset_counters()
-        x = sharesched.sample_with_sharing(model, x0, grid, plans.get(plan), y,
-                                           guidance=guidance, solver=solver)
+        x = sharesched.sample_with_sharing(model, bench.x0, grid, bench.plans.get(plan),
+                                           bench.y, guidance=guidance, solver=solver)
         hashes[f"sample/{mode}"] = digest(x, model.nfe_encoder, model.nfe_decoder)
     return hashes
 

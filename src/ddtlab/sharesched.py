@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NumericalError
 from .files import atomic_write, open_text
 from .samplers import (
     GuidanceSpec,
@@ -55,6 +55,7 @@ __all__ = [
     "plan_uniform",
     "plan_dp",
     "plan_bruteforce",
+    "sharing_nfe",
     "sample_with_sharing",
     "write_similarity",
     "read_similarity",
@@ -281,20 +282,36 @@ def probe_similarity(model, probe_x0: np.ndarray, grid: TimeGrid, y,
     return SimilarityMatrix(np.clip(s, -1.0, 1.0))
 
 
+def sharing_nfe(steps: int, plan: SharingPlan | None = None,
+                guidance: GuidanceSpec | None = None) -> tuple[int, int]:
+    """(encoder, decoder) calls of a shared run: the encoder runs once per
+    anchor (every step without a plan) and branch, the decoder once per
+    step and branch. Guidance makes two branches, except at w == 1."""
+    branches = 1 if guidance is None or guidance.w == 1.0 else 2
+    return (steps if plan is None else plan.K) * branches, steps * branches
+
+
 def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid,
                         plan: SharingPlan | None, y,
                         guidance: GuidanceSpec | None = None,
                         solver: str = "euler", recorder=None) -> np.ndarray:
-    """Run the ODE with encoder sharing: the encoder fires once per anchor
-    and guidance branch, the decoder once per step and branch. plan=None
-    makes every step an anchor, which is full sampling."""
+    """One sampling request: the ODE with encoder sharing. plan=None makes
+    every step an anchor, which is full sampling; guidance at w == 1 is
+    none. NumericalError unless the model's NFE counters rose by
+    sharing_nfe during the solve (they are read, never reset)."""
     anchor_times = None
     if plan is not None:
         if plan.N != grid.steps:
             raise ValueError(f"plan covers {plan.N} steps but grid has {grid.steps}")
         anchor_times = {float(grid.nodes[i]) for i in plan.anchors}
     field = model_velocity_field(model, y, guidance, anchor_times=anchor_times)
-    return _solve(field, x_0, grid, solver, recorder)
+    encoder, decoder = model.nfe_encoder, model.nfe_decoder
+    x = _solve(field, x_0, grid, solver, recorder)
+    made = (model.nfe_encoder - encoder, model.nfe_decoder - decoder)
+    expected = sharing_nfe(grid.steps, plan, guidance)
+    if made != expected:
+        raise NumericalError(f"encoder/decoder NFE {made} != closed form {expected}")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -588,7 +588,23 @@ def test_sample_divergent_model_exits_4(tmp_path):
                  "--num", "4", "--out", str(tmp_path / "o")]) == 4
 
 
-# new rows go at the end: a row's test id carries its index
+def test_sample_nfe_off_the_closed_form_exits_4(tmp_path, tiny_ckpt, monkeypatch):
+    honest = DDTModel.encode
+
+    def counted_twice(self, *args, **kwargs):
+        self.nfe_encoder += 1
+        return honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(DDTModel, "encode", counted_twice)
+    out = tmp_path / "o"
+    assert main(["sample", "--checkpoint", str(tiny_ckpt), "--steps", "4",
+                 "--num", "4", "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+# new rows go at the end: a row's test id carries its index. A None in a
+# row's flags runs it without --checkpoint (plan reads a 20-step
+# similarity file instead) and without the default --steps 4
 OUT_OF_RANGE = [
     ("sample", ["--shift", "0.5"]),
     ("sample", ["--cfg-w", "-1"]),
@@ -619,15 +635,32 @@ OUT_OF_RANGE = [
     ("diagnose", ["--t-list", "0.101,0.104"]),
     ("diagnose", ["--t-list", "0.5,0.5"]),
     ("plan", ["--budget", "3", "--share-ratio", "0.5"]),
+    # probe flags that would do nothing without --checkpoint
+    ("plan", ["--steps", "7", "--solver", "adams3", "--budget", "3", None]),
+    ("plan", ["--shift", "2", "--budget", "3", None]),
+    ("plan", ["--solver", "adams2", "--budget", "3", None]),
+    ("plan", ["--probe-size", "3", "--budget", "3", None]),
+    ("plan", ["--seed", "1", "--budget", "3", None]),
+    ("diagnose", ["--steps", "7", "--solver", "adams3", "--probe-size", "3", None]),
+    ("diagnose", ["--shift", "2", None]),
+    ("diagnose", ["--solver", "adams2", None]),
+    ("diagnose", ["--probe-size", "3", None]),
 ]
 
 
 @pytest.mark.parametrize("command, flags", OUT_OF_RANGE)
 def test_out_of_range_argument_exits_2(tmp_path, tiny_ckpt, capsys, command, flags):
-    source = (["--config", str(write_config(tmp_path / "config.txt"))]
-              if command == "train" else ["--checkpoint", str(tiny_ckpt)])
-    assert main([command, *source, "--steps", "4", *flags,
-                 "--out", str(tmp_path / "o")]) == 2
+    if command == "train":
+        source = ["--config", str(write_config(tmp_path / "config.txt")), "--steps", "4"]
+    elif None not in flags:
+        source = ["--checkpoint", str(tiny_ckpt), "--steps", "4"]
+    elif command == "plan":
+        write_similarity(tmp_path / "sim20.npy", np.eye(20))
+        source = ["--similarity", str(tmp_path / "sim20.npy")]
+    else:
+        source = []
+    flags = [f for f in flags if f is not None]
+    assert main([command, *source, *flags, "--out", str(tmp_path / "o")]) == 2
     assert flags[0] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -723,6 +756,17 @@ def test_plan_bad_budget_or_bruteforce_size_exits_2_before_probing(tmp_path, tin
         assert main(["plan", *flags, "--out", str(out)]) == 2, flags
     assert probes == []
     assert not out.exists()
+
+
+def test_probe_flags_at_their_defaults_pass_without_a_checkpoint(tmp_path):
+    sim = tmp_path / "sim20.npy"
+    write_similarity(sim, np.eye(20))
+    defaults = ["--steps", "20", "--shift", "1", "--solver", "euler", "--probe-size", "8"]
+    assert main(["plan", "--similarity", str(sim), "--seed", "0", *defaults,
+                 "--budget", "3", "--out", str(tmp_path / "p")]) == 0
+    # diagnose draws its spectra from --seed, so any seed goes
+    assert main(["diagnose", "--seed", "5", *defaults, "--t-list", "0.5",
+                 "--trials", "10", "--out", str(tmp_path / "d")]) == 0
 
 
 def test_plan_needs_exactly_one_source(tmp_path):

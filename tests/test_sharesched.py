@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddtlab.errors import FormatError
+from ddtlab.errors import FormatError, NumericalError
 from ddtlab.model import DDTModel, ModelConfig
 from ddtlab.samplers import (
     GuidanceSpec,
@@ -31,6 +31,7 @@ from ddtlab.sharesched import (
     read_similarity,
     sample_with_sharing,
     segment_utility,
+    sharing_nfe,
     similarity_checksum,
     utility_table,
     write_plan,
@@ -397,6 +398,40 @@ def test_sharing_nfe_counts():
     sample_with_sharing(model, x0, grid, plan, y=[1], guidance=spec)
     assert model.nfe_encoder == 8
     assert model.nfe_decoder == 16
+
+    # w == 1 is no guidance: one branch, and the unguided samples bit for bit
+    model.reset_counters()
+    neutral = sample_with_sharing(model, x0, grid, plan, y=[1],
+                                  guidance=GuidanceSpec(w=1.0, interval=(0.0, 1.0)))
+    assert (model.nfe_encoder, model.nfe_decoder) == (4, 8)
+    assert np.array_equal(neutral, sample_with_sharing(model, x0, grid, plan, y=[1]))
+
+
+@pytest.mark.parametrize("steps, plan, guidance, counts", [
+    (8, None, None, (8, 8)),
+    (8, plan_uniform(8, 4), None, (4, 8)),
+    (8, plan_uniform(8, 4), GuidanceSpec(w=3.0), (8, 16)),
+    (8, plan_uniform(8, 4), GuidanceSpec(w=1.0), (4, 8)),
+    (5, None, GuidanceSpec(w=0.0), (10, 10)),  # w = 0 still runs both branches
+    (50, plan_uniform(50, 13), GuidanceSpec(w=1.5, interval=(0.3, 1.0)), (26, 100)),
+])
+def test_sharing_nfe_closed_form(steps, plan, guidance, counts):
+    assert sharing_nfe(steps, plan, guidance) == counts
+
+
+def test_sharing_nfe_mismatch_raises():
+    # an encoder that counts each call twice breaks the closed form
+    model = nudged_model()
+    honest = model.encode
+
+    def counted_twice(*args, **kwargs):
+        model.nfe_encoder += 1
+        return honest(*args, **kwargs)
+
+    model.encode = counted_twice
+    x0 = np.random.default_rng(12).normal(size=(1, 1, 4, 4))
+    with pytest.raises(NumericalError, match=r"\(6, 6\) != closed form \(3, 6\)"):
+        sample_with_sharing(model, x0, make_timegrid(6), plan_uniform(6, 3), y=[0])
 
 
 def test_sharing_with_adams_solver_runs():
