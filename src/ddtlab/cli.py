@@ -210,9 +210,10 @@ def _budget_from_ratio(num_steps: int, ratio: float) -> int:
 
 def cmd_sample(args) -> int:
     regions = worker_regions()
-    a, b = args.cfg_interval
-    if not 0.0 <= a < b <= 1.0:
-        raise UsageError(f"--cfg-interval needs 0 <= a < b <= 1, got {a} {b}")
+    try:
+        guidance = GuidanceSpec(w=args.cfg_w, interval=tuple(args.cfg_interval))
+    except ValueError as exc:
+        raise UsageError(f"--cfg-interval: {exc}") from None
 
     model, _ = _load_model(args.checkpoint)
     inputs = [args.checkpoint]
@@ -235,7 +236,6 @@ def cmd_sample(args) -> int:
     y = substream(args.seed, "labels").integers(0, model.config.num_classes,
                                                 size=args.num)
 
-    guidance = GuidanceSpec(w=args.cfg_w, interval=(a, b))
     samples = sample_with_sharing(model, x0, grid, plan, y, guidance, args.solver)
 
     dataset = dataset_for(args.dataset, model.config)

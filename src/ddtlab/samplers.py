@@ -28,7 +28,6 @@ __all__ = [
     "euler_sample",
     "lagrange_coefficients",
     "adams_sample",
-    "guided_velocity",
     "sde_coefficients",
     "velocity_to_score",
     "decompose_velocity",
@@ -58,8 +57,8 @@ def make_timegrid(num_steps: int, shift: float = 1.0) -> TimeGrid:
     shifted-but-neutral run is bit-identical to the uniform one."""
     if num_steps < 1:
         raise ValueError("need at least one step")
-    if shift < 1.0:
-        raise ValueError("shift must be >= 1")
+    if not (shift >= 1.0 and np.isfinite(shift)):
+        raise ValueError("shift must be a finite number >= 1")
     u = np.arange(num_steps + 1) / num_steps
     if shift == 1.0:
         return TimeGrid(nodes=u)
@@ -69,28 +68,29 @@ def make_timegrid(num_steps: int, shift: float = 1.0) -> TimeGrid:
 
 @dataclass(frozen=True)
 class GuidanceSpec:
+    """Classifier-free guidance of weight w, applied for t in interval."""
     w: float
     interval: tuple[float, float] = (0.3, 1.0)
 
     def __post_init__(self):
         a, b = self.interval
-        if self.w < 0.0:
-            raise ValueError("guidance weight must be >= 0")
+        if not (self.w >= 0.0 and np.isfinite(self.w)):
+            raise ValueError(f"guidance weight must be a finite number >= 0, got {self.w}")
         if not (0.0 <= a < b <= 1.0):
             raise ValueError(f"guidance interval must satisfy 0 <= a < b <= 1, "
                              f"got [{a}, {b}]")
 
+    @property
+    def branches(self) -> int:
+        """Model branches a step runs: weight 1 is the conditional one alone."""
+        return 1 if self.w == 1.0 else 2
 
-def guided_velocity(v_cond, v_uncond, spec: GuidanceSpec, t: float):
-    """v_uncond + w*(v_cond - v_uncond) inside the interval, plain
-    conditional velocity outside. w == 1 short-circuits to the conditional
-    branch so neutral guidance is bit-exact."""
-    if spec.w == 1.0:
+    def velocity(self, v_cond, v_uncond, t: float):
+        """v_uncond + w*(v_cond - v_uncond) for t in the interval, else v_cond."""
+        a, b = self.interval
+        if a <= t <= b:
+            return v_uncond + self.w * (v_cond - v_uncond)
         return v_cond
-    a, b = spec.interval
-    if a <= t <= b:
-        return v_uncond + spec.w * (v_cond - v_uncond)
-    return v_cond
 
 
 def _check_finite(x, step: int, t: float) -> None:
@@ -223,8 +223,8 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
     of [B, C, H, W] with labels y (length B, or 1 for all rows).
 
     With guidance, the conditional and the null-class branch both run and
-    are combined; without it only the conditional branch runs. w == 1 is
-    no guidance: the conditional branch alone, bit for bit. The encoder
+    are combined; without it, or at weight 1 (one branch), only the
+    conditional branch runs, bit for bit. The encoder
     runs at every call when anchor_times is None; otherwise only when t is
     one of anchor_times, and the calls in between reuse the last z of each
     branch, so full sampling is the plan whose every step is an anchor.
@@ -242,7 +242,7 @@ def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
     the z given to on_encode are joined in slice order. The slices depend
     on B alone, so v does not depend on the thread count."""
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if guidance is not None and guidance.w == 1.0:
+    if guidance is not None and guidance.branches == 1:
         guidance = None
     held: list[dict | None] = []  # per slice, the z of each branch
 
@@ -277,5 +277,5 @@ def _run_slice(model, x, t, y, guidance: GuidanceSpec | None, z: dict | None):
             z["u"] = model.encode(x, t, np.full_like(y, model.config.null_class))[0]
     v = model.decode(x, t, z["c"]).data
     if guidance is not None:
-        v = guided_velocity(v, model.decode(x, t, z["u"]).data, guidance, t)
+        v = guidance.velocity(v, model.decode(x, t, z["u"]).data, t)
     return v, z

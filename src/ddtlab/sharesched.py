@@ -286,8 +286,8 @@ def sharing_nfe(steps: int, plan: SharingPlan | None = None,
                 guidance: GuidanceSpec | None = None) -> tuple[int, int]:
     """(encoder, decoder) calls of a shared run: the encoder runs once per
     anchor (every step without a plan) and branch, the decoder once per
-    step and branch. Guidance makes two branches, except at w == 1."""
-    branches = 1 if guidance is None or guidance.w == 1.0 else 2
+    step and branch (GuidanceSpec.branches, one without guidance)."""
+    branches = 1 if guidance is None else guidance.branches
     return (steps if plan is None else plan.K) * branches, steps * branches
 
 
@@ -296,8 +296,8 @@ def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid,
                         guidance: GuidanceSpec | None = None,
                         solver: str = "euler", recorder=None) -> np.ndarray:
     """One sampling request: the ODE with encoder sharing. plan=None makes
-    every step an anchor, which is full sampling; guidance at w == 1 is
-    none. NumericalError unless the model's NFE counters rose by
+    every step an anchor, which is full sampling; guidance of one branch
+    is none. NumericalError unless the model's NFE counters rose by
     sharing_nfe during the solve (they are read, never reset)."""
     anchor_times = None
     if plan is not None:

@@ -1,11 +1,15 @@
-"""The repository scripts' own wiring, checked without running them."""
+"""The repository scripts' own wiring, and smoke runs of the short ones."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ddtlab.samplers import SOLVER_ORDERS
+from ddtlab.sharesched import read_plan
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +40,31 @@ def test_bench_pairs_side_without_keys_is_never_identical(tmp_path, monkeypatch,
     assert work == {"work printed no keys": "none"}
     # main's outputs_identical reads false for a key only one side printed
     assert parent.keys().isdisjoint(work)
+
+
+def run_script(name: str, argv: list[str], monkeypatch) -> None:
+    """Run scripts/<name>.py's main() in this process with argv; a
+    sys.exit with a non-zero code fails the test."""
+    module = load_script(name, monkeypatch)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    try:
+        module.main()
+    except SystemExit as exc:
+        assert exc.code in (None, 0), f"{name} exited {exc.code}"
+
+
+def test_run_desk_experiment_smoke(tmp_path, monkeypatch):
+    out = tmp_path / "desk"
+    run_script("run_desk_experiment", ["--out", str(out), "--steps", "5",
+                                       "--sample-steps", "4"], monkeypatch)
+    plan, _ = read_plan(out / "plan_dp" / "plan.txt")
+    shared = json.loads((out / "sample_shared" / "eval.json").read_text())
+    assert (shared["nfe_encoder"], shared["nfe_decoder"]) == (plan.K, 4)
+
+
+def test_solver_sweep_smoke(monkeypatch, capsys):
+    run_script("solver_sweep", ["--steps", "25", "50", "--shifts", "1"], monkeypatch)
+    # a blank line, the shift, the header, then one row per solver
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:]]
+    assert [row[0] for row in rows] == list(SOLVER_ORDERS)
+    assert all(len(row) == 4 for row in rows)  # name, two errors, one order

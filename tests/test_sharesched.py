@@ -407,6 +407,45 @@ def test_sharing_nfe_counts():
     assert np.array_equal(neutral, sample_with_sharing(model, x0, grid, plan, y=[1]))
 
 
+@pytest.mark.parametrize("solver", ["euler", "adams2"])
+@pytest.mark.parametrize("strategy", ["uniform", "dp"])
+@pytest.mark.parametrize("guidance", [None, GuidanceSpec(w=2.0, interval=(0.2, 0.9))])
+def test_sharing_encodes_at_the_anchors(solver, strategy, guidance):
+    # two rows make one row slice, which runs on the model itself, so the
+    # wrappers on the instance see every encode and decode
+    model = nudged_model()
+    grid = make_timegrid(8, shift=2.0)
+    x0 = np.random.default_rng(13).normal(size=(2, 1, 4, 4))
+    if strategy == "uniform":
+        plan = plan_uniform(8, 3)
+    else:
+        plan = plan_dp(random_cosine_matrix(np.random.default_rng(14), 8), 3)
+    encoded: list[tuple[float, object]] = []  # (t, z), z kept alive for id()
+    decoded: list[tuple[float, int]] = []  # (t, id of the z it decodes)
+    encode, decode = model.encode, model.decode
+
+    def recording_encode(x, t, y):
+        out = encode(x, t, y)
+        encoded.append((float(t), out[0]))
+        return out
+
+    def recording_decode(x, t, z):
+        decoded.append((float(t), id(z)))
+        return decode(x, t, z)
+
+    model.encode, model.decode = recording_encode, recording_decode
+    sample_with_sharing(model, x0, grid, plan, [0, 2], guidance, solver)
+
+    branches = 1 if guidance is None else 2
+    anchor_times = grid.nodes[list(plan.anchors)]
+    assert [t for t, _ in encoded] == list(np.repeat(anchor_times, branches))
+    # every step decodes the z of the anchor that serves it, once per branch
+    encoded_at = {id(z): t for t, z in encoded}
+    served = [(grid.nodes[i], grid.nodes[plan.assignment(i)])
+              for i in range(grid.steps) for _ in range(branches)]
+    assert [(t, encoded_at[z]) for t, z in decoded] == served
+
+
 @pytest.mark.parametrize("steps, plan, guidance, counts", [
     (8, None, None, (8, 8)),
     (8, plan_uniform(8, 4), None, (4, 8)),
