@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError
-from .files import atomic_write
+from .files import atomic_write, read_fields
 from .numcore import (
     Tensor,
     gated_residual,
@@ -532,6 +532,7 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(ModelConfig))
 # names that style, on the line before teacher_dim, so the format is
 # unchanged; a file that names any other style is refused.
 _STYLE_KEY, _STYLE = "block_style", "improved"
+_HEADER_FIELDS = {**dict.fromkeys(_CONFIG_FIELDS, int), _STYLE_KEY: str}
 
 
 def save_checkpoint(path, config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
@@ -582,24 +583,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         header = _decode(_read_exact(fh, header_len, "header"), "header")
-        values: dict[str, str] = {}
-        for line in header.splitlines():
-            if not line.strip():
-                continue
-            if "=" not in line:
-                raise FormatError(f"malformed header line {line!r}")
-            key, _, value = line.partition("=")
-            if key.strip() in values:
-                raise FormatError(f"checkpoint header repeats key {key.strip()!r}")
-            values[key.strip()] = value.strip()
-        style = values.get(_STYLE_KEY)
+        values = read_fields(header.splitlines(), _HEADER_FIELDS, _HEADER_FIELDS,
+                             "checkpoint header")
+        style = values.pop(_STYLE_KEY)
         if style != _STYLE:
             raise FormatError(f"checkpoint block style {style!r} is not {_STYLE!r}")
-        missing = [f for f in _CONFIG_FIELDS if f not in values]
-        if missing:
-            raise FormatError(f"checkpoint header missing fields {missing}")
         try:
-            config = ModelConfig(**{field: int(values[field]) for field in _CONFIG_FIELDS})
+            config = ModelConfig(**values)
         except ValueError as exc:
             raise FormatError(f"checkpoint header invalid: {exc}") from exc
         arrays: dict[str, np.ndarray] = {}

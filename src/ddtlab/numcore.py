@@ -297,8 +297,6 @@ class Tensor:
     # -- shape manipulation ----------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old_shape = self.shape
         out_data = self.data.reshape(shape)
 
@@ -309,8 +307,6 @@ class Tensor:
         return Tensor._node(out_data, (self,), backward)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inverse = np.argsort(axes)
         out_data = np.transpose(self.data, axes)
 

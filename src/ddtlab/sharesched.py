@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import FormatError, NumericalError
-from .files import atomic_write, open_text
+from .files import atomic_write, open_text, read_fields
 from .samplers import (
     GuidanceSpec,
     TimeGrid,
@@ -319,6 +319,14 @@ def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid,
 # ---------------------------------------------------------------------------
 
 _PLAN_MAGIC = "ddtlab-plan v1"
+# the keys write_plan writes; a file without utility reads it as None
+_PLAN_FIELDS = {
+    "N": int, "K": int, "sharing_ratio": float, "strategy": str,
+    "similarity_checksum": str,
+    "utility": lambda value: None if value == "none" else float(value),
+    "anchors": lambda value: tuple(int(a) for a in value.split(",")),
+}
+_PLAN_REQUIRED = [key for key in _PLAN_FIELDS if key != "utility"]
 # a .npy file, format version 1.0: magic, a little-endian uint16 header
 # length, then the header dict that numpy writes, padded with spaces
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
@@ -394,36 +402,19 @@ def write_plan(path, plan: SharingPlan, checksum: str = "none") -> None:
 
 def read_plan(path) -> tuple[SharingPlan, str]:
     with open_text(path) as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != _PLAN_MAGIC:
+        lines = fh.read().splitlines()
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if first is None or lines[first].strip() != _PLAN_MAGIC:
         raise FormatError(f"not a plan file: {path}")
-    fields: dict[str, str] = {}
-    for line in lines[1:]:
-        if "=" not in line:
-            raise FormatError(f"malformed plan line {line!r}")
-        key, _, value = line.partition("=")
-        if key in fields:
-            raise FormatError(f"plan file repeats field {key!r}")
-        fields[key] = value
-    required = {"N", "K", "sharing_ratio", "strategy", "similarity_checksum", "anchors"}
-    missing = required - fields.keys()
-    if missing:
-        raise FormatError(f"plan file missing fields {sorted(missing)}")
+    lines[first] = ""  # blanked, not dropped, so the fields keep their line numbers
+    fields = read_fields(lines, _PLAN_FIELDS, _PLAN_REQUIRED, f"plan file {path}")
     try:
-        n = int(fields["N"])
-        k = int(fields["K"])
-        anchors = tuple(int(a) for a in fields["anchors"].split(","))
-        ratio = float(fields["sharing_ratio"])
-        utility = None if fields.get("utility", "none") == "none" else float(fields["utility"])
-    except ValueError as exc:
-        raise FormatError(f"bad plan numbers: {exc}") from exc
-    try:
-        plan = SharingPlan(N=n, anchors=anchors, strategy=fields["strategy"],
-                           utility=utility)
+        plan = SharingPlan(N=fields["N"], anchors=fields["anchors"],
+                           strategy=fields["strategy"], utility=fields.get("utility"))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    if plan.K != k:
-        raise FormatError(f"plan header K={k} but {plan.K} anchors listed")
-    if not abs(plan.sharing_ratio - ratio) <= 1e-9:  # so a NaN ratio fails too
+    if plan.K != fields["K"]:
+        raise FormatError(f"plan header K={fields['K']} but {plan.K} anchors listed")
+    if not abs(plan.sharing_ratio - fields["sharing_ratio"]) <= 1e-9:  # so a NaN ratio fails too
         raise FormatError("plan header sharing_ratio inconsistent with anchors")
     return plan, fields["similarity_checksum"]

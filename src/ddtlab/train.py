@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import DATASETS, make_dataset
 from .errors import FormatError, NumericalError, UsageError
-from .files import atomic_write
+from .files import atomic_write, read_fields
 from .model import PRESETS, DDTModel
 from .numcore import Tensor
 from .parallel import parallel_calls, slice_edges
@@ -381,25 +381,11 @@ _CONFIG_PARSERS = {f.name: type(f.default) for f in fields(TrainConfig)}
 def parse_train_config(text: str) -> TrainConfig:
     """key=value lines; '#' starts a comment; an unknown or repeated key
     is an error that names the offending field."""
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_PARSERS:
-            raise UsageError(f"config line {lineno}: unknown key {key!r} "
-                             f"(known: {', '.join(sorted(_CONFIG_PARSERS))})")
-        if key in values:
-            raise UsageError(f"config line {lineno}: key {key!r} given again "
-                             f"({raw.strip()!r})")
-        try:
-            values[key] = _CONFIG_PARSERS[key](value.strip())
-        except ValueError as exc:
-            raise UsageError(f"config line {lineno}: bad value for {key}: {exc}") from exc
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    try:
+        values = read_fields(lines, _CONFIG_PARSERS, (), "config")
+    except FormatError as exc:
+        raise UsageError(str(exc)) from exc
     return TrainConfig(**values).validate()
 
 

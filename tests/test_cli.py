@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,14 @@ import ddtlab
 import ddtlab.cli as cli
 from ddtlab.cli import build_parser, main
 from ddtlab.files import atomic_write
-from ddtlab.model import DDTModel, ModelConfig, load_checkpoint, preset, save_checkpoint
+from ddtlab.model import (
+    CHECKPOINT_MAGIC,
+    DDTModel,
+    ModelConfig,
+    load_checkpoint,
+    preset,
+    save_checkpoint,
+)
 from ddtlab.sharesched import plan_uniform, write_plan, write_similarity
 from ddtlab.train import parse_train_config
 
@@ -565,6 +573,28 @@ def test_non_utf8_input_exits_3(tmp_path, tiny_ckpt, capsys, flag):
     }[flag]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--plan", "--checkpoint"])
+def test_sample_unknown_field_exits_3(tmp_path, tiny_ckpt, capsys, flag):
+    # a flipped byte in a plan key, or a typo'd key added to a checkpoint header
+    if flag == "--plan":
+        plan = tmp_path / "plan.txt"
+        write_plan(plan, plan_uniform(4, 2), checksum="ab12")
+        plan.write_text(plan.read_text().replace("utility=", "utimity="))
+        argv = ["--checkpoint", str(tiny_ckpt), "--plan", str(plan)]
+    else:
+        blob = tiny_ckpt.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 4
+        (header_len,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):start])
+        header = blob[start:start + header_len] + b"typo_key=7\n"
+        ckpt = tmp_path / "typo.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header
+                         + blob[start + header_len:])
+        argv = ["--checkpoint", str(ckpt)]
+    assert main(["sample", *argv, "--steps", "4", "--out", str(tmp_path / "o")]) == 3
+    assert "unknown field" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

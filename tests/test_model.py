@@ -477,6 +477,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("line", [b"x=1", b"typo_key=7"])
+    def test_unknown_header_field_rejected(self, tmp_path, line):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_config(), {})
+        header = path.read_bytes()[len(CHECKPOINT_MAGIC) + 4:] + line + b"\n"  # no blocks
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(FormatError, match="unknown field"):
+            load_checkpoint(path)
+
     def test_missing_param_rejected(self, tmp_path):
         cfg = tiny_config()
         model = DDTModel(cfg, seed=1)

@@ -1,7 +1,8 @@
-"""Corruption fuzzing of the three file readers: a checkpoint (read and
-turned into a model, as the CLI does), a plan file and a similarity file.
-Truncated at any byte, or with any one byte changed, a file either loads
-or raises FormatError; no other exception escapes, and no read allocates
+"""Corruption fuzzing of the four file readers: a checkpoint (read and
+turned into a model, as the CLI does), a plan file, a similarity file and
+a train config. Truncated at any byte, or with any one byte changed, a
+file either loads or raises FormatError (a config, as a usage error, may
+also raise UsageError); no other exception escapes, and no read allocates
 more than a small bound, whatever length a corrupt field claims."""
 
 import tracemalloc
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddtlab.errors import FormatError
+from ddtlab.errors import FormatError, UsageError
+from ddtlab.files import open_text
 from ddtlab.model import DDTModel, ModelConfig, load_checkpoint, save_checkpoint
 from ddtlab.sharesched import (
     SharingPlan,
@@ -20,6 +22,7 @@ from ddtlab.sharesched import (
     write_plan,
     write_similarity,
 )
+from ddtlab.train import parse_train_config
 
 # the intact files are a few kB; a read that trusts a corrupt length
 # would allocate far more than this
@@ -30,7 +33,15 @@ def load_model(path):
     return DDTModel.from_arrays(*load_checkpoint(path))
 
 
-READERS = {"checkpoint": load_model, "plan": read_plan, "similarity": read_similarity}
+def load_config(path):
+    with open_text(path) as fh:
+        return parse_train_config(fh.read())
+
+
+READERS = {"checkpoint": load_model, "plan": read_plan, "similarity": read_similarity,
+           "config": load_config}
+# the errors each kind may raise on a corrupt file
+REFUSALS = {"config": (FormatError, UsageError)}
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +60,9 @@ def intact(tmp_path_factory):
     s = np.clip(a @ a.T, -1.0, 1.0)
     np.fill_diagonal(s, 1.0)
     write_similarity(root / "similarity", s)
+    (root / "config").write_text("# desk run\npreset=desk\nseed=3\nsteps=50\nbatch=16\n"
+                                 "alignment_weight=0.25\ndataset=bandlimited\n"
+                                 "lr=0.001  # Adam\nlabel_drop=0.1\n")
     return {kind: (root / kind).read_bytes() for kind in READERS}
 
 
@@ -72,7 +86,7 @@ def test_corrupt_file_loads_or_raises_format_error(intact, scratch, kind, cut, w
     tracemalloc.start()
     try:
         READERS[kind](scratch)
-    except FormatError:
+    except REFUSALS.get(kind, FormatError):
         pass
     finally:
         _, peak = tracemalloc.get_traced_memory()

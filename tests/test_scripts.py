@@ -14,10 +14,10 @@ from ddtlab.sharesched import read_plan
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_script(name: str, monkeypatch):
-    """Import scripts/<name>.py as a module; its main() does not run."""
+def load_script(name: str, monkeypatch, folder: str = "scripts"):
+    """Import <folder>/<name>.py as a module; its main() does not run."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # undo the script's insert
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,6 +28,26 @@ def test_output_hashes_samples_the_benchmark_modes(monkeypatch):
     workloads = sys.modules["workloads"]
     assert Path(workloads.__file__).resolve() == ROOT / "perfbench" / "workloads.py"
     assert hashes.SAMPLE_MODES is workloads.SAMPLE_MODES
+
+
+def test_trace_targets_resolve_and_uninstall_restores(monkeypatch):
+    # perfbench --trace 1 patches these names; a rename breaks it
+    monkeypatch.setattr(sys, "path", [str(ROOT / "perfbench"), *sys.path])
+    spans = load_script("spans", monkeypatch, folder="perfbench")
+    functions, solvers = spans._targets()
+    targets = [(owner, attr) for owner, attr, *_ in functions + solvers]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in targets
+               if attr not in vars(owner)]
+    assert not missing
+    originals = [vars(owner)[attr] for owner, attr in targets]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert all(vars(owner)[attr] is not orig
+                   for (owner, attr), orig in zip(targets, originals))
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is orig for (owner, attr), orig in zip(targets, originals))
 
 
 @pytest.mark.parametrize("code", [1, 0])  # the script failed, or printed nothing

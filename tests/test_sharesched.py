@@ -622,7 +622,7 @@ def test_plan_file_errors(tmp_path):
     good = path.read_text()
     for field in ("utility", "sharing_ratio"):
         path.write_text(re.sub(f"^{field}=.*$", f"{field}=abc", good, flags=re.M))
-        with pytest.raises(FormatError, match="bad plan numbers"):
+        with pytest.raises(FormatError, match=f"bad value for {field}"):
             read_plan(path)
 
 
@@ -651,6 +651,39 @@ def test_plan_file_rejects_repeated_field(tmp_path):
     path.write_text(path.read_text() + f"anchors=0,{other}\n")
     with pytest.raises(FormatError, match="repeats field 'anchors'"):
         read_plan(path)
+
+
+PLAN_KEYS = ["N", "K", "sharing_ratio", "strategy", "similarity_checksum", "utility",
+             "anchors"]
+
+
+@pytest.mark.parametrize("key", PLAN_KEYS)
+def test_plan_file_rejects_flipped_key(tmp_path, key):
+    # utimity=0.75 once read back as a plan without a utility
+    path = tmp_path / "plan.txt"
+    write_plan(path, plan_dp(WORKED, K=2))
+    good = path.read_bytes()
+    start = good.index(b"\n" + key.encode() + b"=") + 1
+    for at in range(start, start + len(key)):
+        path.write_bytes(good[:at] + bytes([good[at] ^ 1]) + good[at + 1:])
+        with pytest.raises(FormatError, match="unknown field"):
+            read_plan(path)
+
+
+def test_plan_file_rejects_unknown_field(tmp_path):
+    path = tmp_path / "plan.txt"
+    write_plan(path, plan_dp(WORKED, K=2))
+    path.write_text(path.read_text() + "x=1\n")
+    with pytest.raises(FormatError, match="line 9: unknown field 'x'"):
+        read_plan(path)
+
+
+def test_plan_file_ignores_spaces_around_equals(tmp_path):
+    path = tmp_path / "plan.txt"
+    plan = plan_dp(WORKED, K=2)
+    write_plan(path, plan, checksum="ab12")
+    path.write_text(path.read_text().replace("=", " = "))
+    assert read_plan(path) == (plan, "ab12")
 
 
 @pytest.mark.parametrize("marker", [b"ddtlab", b"strategy=", b"anchors="])
