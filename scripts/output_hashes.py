@@ -19,8 +19,12 @@ bit. The keys:
   plan/<name>    the dp and uniform plans, anchors and utility, on a
                  seeded N=250 cosine similarity matrix at share ratio 0.75
   diagnose       the spectrum CSVs of `ddtlab diagnose` with its defaults
+  probe          similarity.npy and plan.txt of `ddtlab plan --checkpoint`
+                 on those weights: a 20-step adams2 probe at shift 2 with
+                 24 rows (two row slices) and a dp plan at share ratio 0.75
 
-It takes about 17 s on 2 CPUs (Intel Xeon) with OpenBLAS at 2 threads.
+It takes 10 to 18 s on 2 CPUs (Intel Xeon) with OpenBLAS at 2 threads,
+as that machine's speed drifts between runs.
 """
 
 from __future__ import annotations
@@ -87,11 +91,15 @@ def weights_with_one_blas_thread() -> str:
     return out.split()[-1]
 
 
+def saved(model: DDTModel, tmp: str) -> str:
+    path = os.path.join(tmp, "model.ckpt")
+    save_checkpoint(path, model.config, model.state_arrays())
+    return path
+
+
 def sample_hashes(model: DDTModel) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "model.ckpt")
-        save_checkpoint(path, model.config, model.state_arrays())
-        bench = SampleWorkload(SEED, path, tmp)
+        bench = SampleWorkload(SEED, saved(model, tmp), tmp)
         bench.setup()
     model, hashes = bench.model, {}
     for mode, solver, shift, guidance, plan in SAMPLE_MODES:
@@ -118,14 +126,27 @@ def plan_hashes() -> dict[str, str]:
             "plan/uniform": digest(uniform, sharesched.plan_utility(sim, uniform).hex())}
 
 
+def run_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited {code}")
+
+
 def diagnose_hash() -> str:
     with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["diagnose", "--seed", str(SEED), "--out", tmp])
-        if code != 0:
-            raise SystemExit(f"diagnose exited {code}")
+        run_cli(["diagnose", "--seed", str(SEED), "--out", tmp])
         csvs = sorted(Path(tmp).glob("spectrum_*.csv"))
         return digest(*[part for p in csvs for part in (p.name, p.read_bytes())])
+
+
+def probe_hash(model: DDTModel) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "plan")
+        run_cli(["plan", "--checkpoint", saved(model, tmp), "--steps", "20",
+                 "--solver", "adams2", "--shift", "2", "--probe-size", "24",
+                 "--share-ratio", "0.75", "--out", str(out)])
+        return digest((out / "similarity.npy").read_bytes(), (out / "plan.txt").read_bytes())
 
 
 def main() -> None:
@@ -135,7 +156,8 @@ def main() -> None:
         return
     hashes = {"weights": weights_hash(model),
               "weights_blas1": weights_with_one_blas_thread(),
-              **sample_hashes(model), **plan_hashes(), "diagnose": diagnose_hash()}
+              **sample_hashes(model), **plan_hashes(), "diagnose": diagnose_hash(),
+              "probe": probe_hash(model)}
     for key, value in hashes.items():
         print(key, value)
 

@@ -267,22 +267,10 @@ def monolithic_parameter_count(cfg: ModelConfig) -> int:
     """Parameter count of a single-stack transformer of the same width and
     total depth: one patch embedding, encoder_layers + decoder_layers
     identical blocks, one output head, no alignment head. The reference
-    the split architecture is compared against."""
-    depth = cfg.encoder_layers + cfg.decoder_layers
-    h = cfg.hidden_dim
-    shapes: list[tuple[str, tuple[int, ...]]] = [
-        ("t_mlp.w1", (h, h)), ("t_mlp.b1", (h,)),
-        ("t_mlp.w2", (h, h)), ("t_mlp.b2", (h,)),
-        ("y_embed.table", (cfg.num_classes + 1, h)),
-        ("embed.w", (cfg.patch_dim, h)), ("embed.b", (h,)),
-    ]
-    for i in range(depth):
-        shapes += _block_shapes(f"b{i}", h)
-    shapes += [
-        ("final.mod.w", (h, 2 * h)), ("final.mod.b", (2 * h,)),
-        ("final.proj.w", (h, cfg.patch_dim)), ("final.proj.b", (cfg.patch_dim,)),
-    ]
-    return sum(int(np.prod(s)) for _, s in shapes)
+    the split architecture is compared against: parameter_layout without
+    the decoder's embedding and the alignment head."""
+    return sum(int(np.prod(s)) for name, s in parameter_layout(cfg)
+               if not name.startswith(("dec.embed.", "halign.")))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -104,9 +105,20 @@ class TrajectoryRecorder:
     def __init__(self):
         self.rows: list[tuple[int, float, float, float]] = []
 
-    def record(self, step: int, t: float, x: np.ndarray, v: np.ndarray) -> None:
-        self.rows.append((step, float(t), float(np.linalg.norm(x)),
-                          float(np.linalg.norm(v))))
+    def watch(self, velocity_field):
+        """velocity_field, wrapped to append one row per call; step counts
+        the wrapped field's calls from 0. A row holds the x the field was
+        given and the v it returned, before the solver's finite check, so
+        a non-finite v leaves its row before the solve raises."""
+        steps = count()
+
+        def watched(x, t):
+            v = velocity_field(x, t)
+            self.rows.append((next(steps), float(t), float(np.linalg.norm(x)),
+                              float(np.linalg.norm(v))))
+            return v
+
+        return watched
 
     def write_csv(self, path) -> None:
         with atomic_write(path) as fh:
@@ -138,8 +150,7 @@ def lagrange_coefficients(times, interval) -> np.ndarray:
 SOLVER_ORDERS = {"euler": 1, "adams2": 2, "adams3": 3}
 
 
-def _integrate(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
-               recorder: TrajectoryRecorder | None) -> np.ndarray:
+def _integrate(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int) -> np.ndarray:
     """The one solver loop: explicit linear multistep with pre-integrated
     coefficients, one field call per step.
 
@@ -153,8 +164,6 @@ def _integrate(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
     for i in range(grid.steps):
         v = np.asarray(velocity_field(x, nodes[i]), dtype=np.float64)
         _check_finite(v, i, nodes[i])
-        if recorder is not None:
-            recorder.record(i, nodes[i], x, v)
         hist_t.append(float(nodes[i]))
         hist_v.append(v)
         if len(hist_t) > order:
@@ -175,20 +184,18 @@ def _integrate(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
     return x
 
 
-def euler_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid,
-                 recorder: TrajectoryRecorder | None = None) -> np.ndarray:
+def euler_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """x_{i+1} = x_i + (t_{i+1} - t_i) * v(x_i, t_i): the multistep loop at
     order 1."""
-    return _integrate(velocity_field, x_0, grid, 1, recorder)
+    return _integrate(velocity_field, x_0, grid, 1)
 
 
-def adams_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int,
-                 recorder: TrajectoryRecorder | None = None) -> np.ndarray:
+def adams_sample(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int) -> np.ndarray:
     """Adams-Bashforth of the given order (1, 2 or 3) with a warm-up of
     lower orders; order 1 is Euler bit for bit."""
     if order not in SOLVER_ORDERS.values():
         raise ValueError("order must be 1, 2, or 3")
-    return _integrate(velocity_field, x_0, grid, order, recorder)
+    return _integrate(velocity_field, x_0, grid, order)
 
 
 def sde_coefficients(t: float) -> tuple[float, float]:

@@ -94,10 +94,10 @@ class SimilarityMatrix:
             raise ValueError("similarity entries must lie in [-1, 1]")
 
 
-def _as_matrix(S) -> np.ndarray:
-    if isinstance(S, SimilarityMatrix):
-        return S.S
-    return SimilarityMatrix(np.asarray(S, dtype=np.float64)).S
+def _as_matrix(S) -> SimilarityMatrix:
+    """S itself if it is a SimilarityMatrix, else S validated as one; the
+    planners pass the result on, so a call validates at most once."""
+    return S if isinstance(S, SimilarityMatrix) else SimilarityMatrix(S)
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class SharingPlan:
 
 def segment_utility(S, j: int, i: int) -> float:
     """W[j][i] = sum_{l=j}^{i} S[j][l]: how well anchor j serves steps j..i."""
-    s = _as_matrix(S)
+    s = _as_matrix(S).S
     if j > i:
         raise ValueError(f"segment start {j} exceeds end {i}")
     if not (0 <= j and i < s.shape[0]):
@@ -156,7 +156,7 @@ def utility_table(S) -> np.ndarray:
     """W[j][i] for all j <= i, 0 elsewhere; every planner reads this one
     table so their utilities are bitwise comparable. The zeros left of
     the diagonal add exactly nothing to each row's running sum."""
-    return np.cumsum(np.triu(_as_matrix(S)), axis=1)
+    return np.cumsum(np.triu(_as_matrix(S).S), axis=1)
 
 
 def _fold_utility(w: np.ndarray, anchors: tuple[int, ...], n: int) -> float:
@@ -170,10 +170,9 @@ def _fold_utility(w: np.ndarray, anchors: tuple[int, ...], n: int) -> float:
 
 
 def plan_utility(S, anchors) -> float:
-    s = _as_matrix(S)
-    anchors = tuple(int(a) for a in anchors)
-    plan = SharingPlan(N=s.shape[0], anchors=anchors)
-    return _fold_utility(utility_table(s), plan.anchors, s.shape[0])
+    sim = _as_matrix(S)
+    plan = SharingPlan(N=sim.N, anchors=tuple(int(a) for a in anchors))
+    return _fold_utility(utility_table(sim), plan.anchors, sim.N)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +194,11 @@ def plan_uniform(N: int, K: int) -> SharingPlan:
 def plan_dp(S, K: int) -> SharingPlan:
     """Exact maximizer of the plan utility; ties broken toward the
     lexicographically smallest anchor set (first argmax at each level)."""
-    s = _as_matrix(S)
-    n = s.shape[0]
+    sim = _as_matrix(S)
+    n = sim.N
     if not 1 <= K <= n:
         raise ValueError(f"budget K={K} out of range [1, {n}]")
-    w = utility_table(s)
+    w = utility_table(sim)
     # reach[i][j-1]: utility of anchor i serving i..j-1; -inf for j <= i
     reach = np.where(np.tri(n, k=-1, dtype=bool), -np.inf, w)
     # best[k-1][i]: max utility covering i..n-1 with k anchors, first at i
@@ -225,13 +224,13 @@ def plan_dp(S, K: int) -> SharingPlan:
 def plan_bruteforce(S, K: int) -> SharingPlan:
     """Exhaustive oracle: every anchor set containing 0, same fold and the
     same tie-break as plan_dp. Guarded to small N."""
-    s = _as_matrix(S)
-    n = s.shape[0]
+    sim = _as_matrix(S)
+    n = sim.N
     if n > BRUTEFORCE_MAX_N:
         raise ValueError(f"brute force limited to N <= {BRUTEFORCE_MAX_N}, got {n}")
     if not 1 <= K <= n:
         raise ValueError(f"budget K={K} out of range [1, {n}]")
-    w = utility_table(s)
+    w = utility_table(sim)
     best_anchors: tuple[int, ...] | None = None
     best_utility = -np.inf
     for rest in combinations(range(1, n), K - 1):
@@ -249,29 +248,18 @@ def plan_bruteforce(S, K: int) -> SharingPlan:
 # ---------------------------------------------------------------------------
 
 
-def _solve(field, x_0: np.ndarray, grid: TimeGrid, solver: str, recorder=None):
-    """The one solver dispatch. It calls the solvers by this module's names
-    for them, so a caller that rebinds those names sees every solve."""
-    if solver not in SOLVER_ORDERS:
-        raise ValueError(f"unknown solver {solver!r}; choose from {sorted(SOLVER_ORDERS)}")
-    if solver == "euler":
-        return euler_sample(field, x_0, grid, recorder=recorder)
-    return adams_sample(field, x_0, grid, order=SOLVER_ORDERS[solver],
-                        recorder=recorder)
-
-
 def probe_similarity(model, probe_x0: np.ndarray, grid: TimeGrid, y,
                      solver: str = "euler") -> SimilarityMatrix:
-    """Full, unguided sampling on the probe batch, recording z at every
-    step; S[i][j] is the probe-averaged cosine between flattened z_i and
-    z_j, and a zero-norm z contributes 0."""
+    """Full, unguided sampling on the probe batch (a sample_with_sharing
+    request, so its NFE check included), recording z at every step;
+    S[i][j] is the probe-averaged cosine between flattened z_i and z_j,
+    and a zero-norm z contributes 0."""
     x0 = np.asarray(probe_x0, dtype=np.float64)
     if x0.ndim != 4 or x0.shape[0] < 1:
         raise ValueError("probe batch must be a non-empty [P,C,H,W] array")
     zs: list[np.ndarray] = []
-    field = model_velocity_field(
-        model, y, on_encode=lambda z: zs.append(z.reshape(x0.shape[0], -1).copy()))
-    _solve(field, x0, grid, solver)
+    sample_with_sharing(model, x0, grid, None, y, solver=solver,
+                        on_encode=lambda z: zs.append(z.reshape(x0.shape[0], -1).copy()))
     z = np.stack(zs)  # [N, P, D]
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
     zn = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0.0)
@@ -294,19 +282,32 @@ def sharing_nfe(steps: int, plan: SharingPlan | None = None,
 def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid,
                         plan: SharingPlan | None, y,
                         guidance: GuidanceSpec | None = None,
-                        solver: str = "euler", recorder=None) -> np.ndarray:
-    """One sampling request: the ODE with encoder sharing. plan=None makes
-    every step an anchor, which is full sampling; guidance of one branch
-    is none. NumericalError unless the model's NFE counters rose by
-    sharing_nfe during the solve (they are read, never reset)."""
+                        solver: str = "euler", recorder=None,
+                        on_encode=None) -> np.ndarray:
+    """One sampling request, and the one solve in ddtlab: the ODE with
+    encoder sharing. plan=None makes every step an anchor, which is full
+    sampling; guidance of one branch is none. on_encode(z) gets the
+    conditional z at each anchor (model_velocity_field), and a
+    TrajectoryRecorder given as recorder watches the field. The solvers
+    are called by this module's names for them, so a caller that rebinds
+    those names sees every solve. NumericalError unless the model's NFE
+    counters rose by sharing_nfe during the solve (they are read, never
+    reset)."""
+    if solver not in SOLVER_ORDERS:
+        raise ValueError(f"unknown solver {solver!r}; choose from {sorted(SOLVER_ORDERS)}")
     anchor_times = None
     if plan is not None:
         if plan.N != grid.steps:
             raise ValueError(f"plan covers {plan.N} steps but grid has {grid.steps}")
         anchor_times = {float(grid.nodes[i]) for i in plan.anchors}
-    field = model_velocity_field(model, y, guidance, anchor_times=anchor_times)
+    field = model_velocity_field(model, y, guidance, anchor_times, on_encode)
+    if recorder is not None:
+        field = recorder.watch(field)
     encoder, decoder = model.nfe_encoder, model.nfe_decoder
-    x = _solve(field, x_0, grid, solver, recorder)
+    if solver == "euler":
+        x = euler_sample(field, x_0, grid)
+    else:
+        x = adams_sample(field, x_0, grid, order=SOLVER_ORDERS[solver])
     made = (model.nfe_encoder - encoder, model.nfe_decoder - decoder)
     expected = sharing_nfe(grid.steps, plan, guidance)
     if made != expected:
@@ -335,14 +336,14 @@ _NPY_HEADER = re.compile(rb"\{'descr': '([^']*)', 'fortran_order': (True|False),
 
 
 def similarity_checksum(S) -> str:
-    s = _as_matrix(S)
+    s = _as_matrix(S).S
     return hashlib.sha256(np.ascontiguousarray(s, dtype="<f8").tobytes()).hexdigest()
 
 
 def write_similarity(path, S) -> None:
     """A standard .npy file (little-endian float64, C order) at exactly
     `path`, which `np.load` opens; a round trip is bit-exact."""
-    s = np.ascontiguousarray(_as_matrix(S), dtype="<f8")
+    s = np.ascontiguousarray(_as_matrix(S).S, dtype="<f8")
     with atomic_write(path, binary=True) as fh:
         np.lib.format.write_array(fh, s, version=(1, 0), allow_pickle=False)
 

@@ -632,6 +632,22 @@ def test_sample_nfe_off_the_closed_form_exits_4(tmp_path, tiny_ckpt, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["plan", "--budget", "2"], ["diagnose"]])
+def test_probe_nfe_off_the_closed_form_exits_4(tmp_path, tiny_ckpt, monkeypatch, command):
+    # a probe under 24 rows runs in this process, on the patched encoder
+    honest = DDTModel.encode
+
+    def counted_twice(self, *args, **kwargs):
+        self.nfe_encoder += 1
+        return honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(DDTModel, "encode", counted_twice)
+    out = tmp_path / "o"
+    assert main([*command, "--checkpoint", str(tiny_ckpt), "--steps", "4",
+                 "--probe-size", "4", "--out", str(out)]) == 4
+    assert not out.exists()
+
+
 # new rows go at the end: a row's test id carries its index. A None in a
 # row's flags runs it without --checkpoint (plan reads a 20-step
 # similarity file instead) and without the default --steps 4

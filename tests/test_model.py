@@ -359,6 +359,12 @@ class TestPresets:
             mono = monolithic_parameter_count(cfg)
             assert abs(split - mono) / mono < 0.05, name
 
+    def test_monolithic_counts(self):
+        counts = {name: monolithic_parameter_count(preset(name))
+                  for name in ("desk", "b2", "l2", "xl2")}
+        assert counts == {"desk": 465404, "b2": 130709008, "l2": 458594288,
+                          "xl2": 675891472}
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("m2")

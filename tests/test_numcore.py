@@ -774,15 +774,18 @@ class ScriptedEncoder:
     """Model stand-in for probe_similarity: the encoder returns the next
     of the given per-step features z[i] ([P, D], one row per probe) and the
     decoder returns zero velocity. A probe batch runs as one row slice,
-    on the stand-in itself."""
+    on the stand-in itself, whose NFE counters the probe's check reads."""
 
     def __init__(self, z):
         self.z = iter(z)
+        self.nfe_encoder = self.nfe_decoder = 0
 
     def encode(self, x, t, y):
+        self.nfe_encoder += 1
         return Tensor(next(self.z)), None
 
     def decode(self, x, t, z):
+        self.nfe_decoder += 1
         return Tensor(np.zeros_like(x))
 
 

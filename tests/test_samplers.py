@@ -121,7 +121,7 @@ class TestEuler:
         x0 = np.array([-0.5])
         grid = make_timegrid(10, 1.0)
         rec = TrajectoryRecorder()
-        euler_sample(pointmass_field(x_star), x0, grid, recorder=rec)
+        euler_sample(rec.watch(pointmass_field(x_star)), x0, grid)
         for step, t, nx, _ in rec.rows:
             expected = x_star + (x0 - x_star) * (1.0 - t)
             assert abs(nx - abs(expected[0])) < 1e-10
@@ -191,7 +191,7 @@ class TestAdams:
             return np.full_like(x, t)
 
         rec = TrajectoryRecorder()
-        adams_sample(field, xs[0], grid, order=2, recorder=rec)
+        adams_sample(rec.watch(field), xs[0], grid, order=2)
         # reconstruct increments by replaying
         x = np.zeros(1)
         hist = []
@@ -433,9 +433,19 @@ class TestRecorder:
     def test_csv_rows(self, tmp_path):
         rec = TrajectoryRecorder()
         grid = make_timegrid(4, 1.0)
-        euler_sample(lambda x, t: -x, np.ones(3), grid, recorder=rec)
+        euler_sample(rec.watch(lambda x, t: -x), np.ones(3), grid)
         csv_path = tmp_path / "traj.csv"
         rec.write_csv(csv_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "step,t,norm_x,norm_v"
         assert len(lines) == 5
+
+    def test_watch_keeps_a_non_finite_row_before_the_solve_raises(self):
+        def field(x, t):
+            return np.full_like(x, np.nan) if t > 0.25 else np.zeros_like(x)
+
+        rec = TrajectoryRecorder()
+        with pytest.raises(NumericalError, match="step 3"):
+            euler_sample(rec.watch(field), np.zeros(2), make_timegrid(10, 1.0))
+        assert [row[0] for row in rec.rows] == [0, 1, 2, 3]
+        assert np.isnan(rec.rows[-1][3])

@@ -14,6 +14,7 @@ from ddtlab.errors import FormatError, NumericalError
 from ddtlab.model import DDTModel, ModelConfig
 from ddtlab.samplers import (
     GuidanceSpec,
+    TrajectoryRecorder,
     adams_sample,
     euler_sample,
     make_timegrid,
@@ -278,6 +279,21 @@ def test_dp_matches_reference_loop_exactly(n):
         assert plan.utility == best[k - 1, 0]
 
 
+def test_planners_validate_a_matrix_at_most_once(monkeypatch):
+    validations = []
+    check = SimilarityMatrix.__post_init__
+    monkeypatch.setattr(SimilarityMatrix, "__post_init__",
+                        lambda self: validations.append(check(self)))
+    sim = SimilarityMatrix(WORKED)
+    for plan in (lambda S: plan_dp(S, 2), lambda S: plan_bruteforce(S, 2),
+                 lambda S: plan_utility(S, (0, 2))):
+        validations.clear()
+        plan(sim)
+        assert len(validations) == 0
+        plan(WORKED)
+        assert len(validations) == 1
+
+
 def test_plan_utility_is_the_dp_fold():
     rng = np.random.default_rng(4)
     s = random_cosine_matrix(rng, 9)
@@ -315,6 +331,24 @@ def test_probe_constant_encoder_gives_all_ones():
     assert np.allclose(sim.S, 1.0, atol=1e-9)
     plan = plan_dp(sim, K=3)
     assert plan.anchors == (0, 1, 2)
+
+
+def test_probe_nfe_off_the_closed_form_raises():
+    # a probe is a sampling request, so it gets the same NFE check; the
+    # check reads how far the counters rose, so earlier runs do not count
+    model = nudged_model()
+    x0 = np.random.default_rng(13).normal(size=(2, 1, 4, 4))
+    model.nfe_encoder, model.nfe_decoder = 7, 9
+    probe_similarity(model, x0, make_timegrid(4), y=[0, 1])
+    honest = model.encode
+
+    def counted_twice(*args, **kwargs):
+        model.nfe_encoder += 1
+        return honest(*args, **kwargs)
+
+    model.encode = counted_twice
+    with pytest.raises(NumericalError, match=r"\(8, 4\) != closed form \(4, 4\)"):
+        probe_similarity(model, x0, make_timegrid(4), y=[0, 1])
 
 
 def test_probe_rejects_empty_batch():
@@ -486,6 +520,21 @@ def test_sharing_with_adams_solver_runs():
     with pytest.raises(ValueError, match="unknown solver"):
         sample_with_sharing(model, x0, grid, plan_uniform(6, 3), y=[0],
                             solver="heun")
+
+
+@pytest.mark.parametrize("solver", ["euler", "adams2"])
+@pytest.mark.parametrize("plan", [None, plan_uniform(6, 3)], ids=["full", "uniform"])
+def test_sharing_recorder_rows_follow_the_grid(solver, plan):
+    model = nudged_model()
+    grid = make_timegrid(6, shift=2.0)
+    x0 = np.random.default_rng(14).normal(size=(2, 1, 4, 4))
+    rec = TrajectoryRecorder()
+    x = sample_with_sharing(model, x0, grid, plan, [0, 1], solver=solver, recorder=rec)
+    assert [row[0] for row in rec.rows] == list(range(grid.steps))
+    assert [row[1] for row in rec.rows] == grid.nodes[:-1].tolist()
+    assert rec.rows[0][2] == np.linalg.norm(x0)
+    assert np.array_equal(x, sample_with_sharing(model, x0, grid, plan, [0, 1],
+                                                 solver=solver))
 
 
 def test_sharing_plan_grid_mismatch():
