@@ -2,8 +2,9 @@
 """End-to-end desk experiment driven through the CLI.
 
 Trains the desk preset on the bandlimited dataset, samples with and
-without encoder sharing, builds DP and uniform plans from a probe, and
-dumps spectral diagnostics. Everything lands under --out.
+without encoder sharing, builds DP and uniform plans from a probe (its
+step similarity lands in plan_dp/similarity.npy), and dumps the
+dataset's spectral diagnostics. Everything lands under --out.
 """
 
 import argparse
@@ -53,8 +54,8 @@ def main() -> None:
          "--plan", str(out / "plan_dp" / "plan.txt"),
          "--seed", str(args.seed), "--out", str(out / "sample_shared")])
 
-    run(["diagnose", "--dataset", "bandlimited", "--checkpoint", ckpt,
-         "--seed", str(args.seed), "--out", str(out / "diagnose")])
+    run(["diagnose", "--dataset", "bandlimited", "--seed", str(args.seed),
+         "--out", str(out / "diagnose")])
 
     full = json.loads((out / "sample_full" / "eval.json").read_text())
     shared = json.loads((out / "sample_shared" / "eval.json").read_text())

@@ -1,16 +1,15 @@
 """Command-line interface.
 
 Subcommands: train | sample | plan | diagnose. Every command derives all
-randomness from --seed via named substreams, writes its primary outputs
-atomically (temp-and-rename), and drops a manifest.json recording inputs
-and outputs (each with its sha256), settings (every flag as parsed),
-derived (what the command worked out from its flags) and the run
-environment, so a run can be audited and replayed.
-
-Exit codes: 0 success, 2 usage error (an input too large for memory
-among them), 3 data/format error, 4 numerical failure, 130 interrupted
-(Ctrl-C). A run that fails or is interrupted removes the --out directory
-it made, as long as that directory is still empty.
+randomness from --seed via named substreams, and writes its outputs
+atomically (temp-and-rename) through the `_Run` main hands it, which
+adds a manifest.json recording inputs and outputs (each with its sha256),
+settings (every flag as parsed), derived (what the command worked out
+from its flags) and the run environment, so a run can be audited and
+replayed. Exit codes: 0 success, 2 usage error (an input too large for
+memory among them), 3 data/format error, 4 numerical failure, 130
+interrupted (Ctrl-C). A run that fails or is interrupted removes the
+outputs it wrote, then each directory it made for --out while empty.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .sharesched import (
     BRUTEFORCE_MAX_N,
     STRATEGIES,
     SharingPlan,
-    SimilarityMatrix,
     plan_bruteforce,
     plan_dp,
     plan_uniform,
@@ -97,11 +95,10 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _environment(slices: int | None, regions_before: int) -> dict:
     """What a run computed with: the CPUs it may use, the software, the
-    BLAS and its thread count, the thread variables, the row slices
-    (parallel.row_slices, set by the batch size alone) each model call or
-    training step was cut into (None when no model ran), and whether
-    slices ran in the worker process, i.e. whether parallel.worker_regions
-    rose above regions_before, its count when the command started."""
+    BLAS and its thread count, the thread variables, the row slices each
+    model call or training step was cut into (parallel.row_slices, set by
+    the batch size alone; None when no model ran), and whether slices ran in
+    the worker process (parallel.worker_regions rose above regions_before)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # a numpy without the dict form
@@ -120,20 +117,77 @@ def _environment(slices: int | None, regions_before: int) -> dict:
     }
 
 
-def _write_manifest(args, seed: int, inputs: list, outputs: list[str],
-                    environment: dict, **derived) -> None:
-    """manifest.json in args.out: settings is every flag as parsed, and
-    derived is what the command worked out from its flags."""
-    manifest = {
-        "command": args.command,
-        "seed": seed,
-        "inputs": {str(p): _checksum_file(p) for p in inputs},
-        "outputs": {name: _checksum_file(os.path.join(args.out, name)) for name in outputs},
-        "settings": {k: v for k, v in vars(args).items() if k != "func"},
-        "derived": derived,
-        "environment": environment,
-    }
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+def _inode(path) -> int | None:
+    return os.stat(path).st_ino if os.path.isfile(path) else None
+
+
+class _Run:
+    """One command's run: main builds it, hands it to the command, then
+    calls `finish` (the manifest) or `discard`. A command that runs the
+    model sets `row_slices`; train sets `seed` from its config."""
+
+    def __init__(self, args):
+        self.args = args
+        self.seed = args.seed
+        self.row_slices = None  # no model call
+        self._regions = worker_regions()
+        # input path -> sha256; output path -> its inode before the run
+        self._inputs, self._outputs, self._derived = {}, {}, {}
+        # the directories --out needs that are not there yet, deepest first
+        self._missing = []
+        path = os.path.abspath(args.out)
+        while not os.path.exists(path):
+            self._missing.append(path)
+            path = os.path.dirname(path)
+
+    def input(self, path):
+        """Record an input, hashed now (train --resume may replace it)."""
+        self._inputs[str(path)] = _checksum_file(path)
+        return path
+
+    def output(self, name: str) -> str:
+        """Register an output and return its path, making --out if need be."""
+        os.makedirs(self.args.out, exist_ok=True)
+        path = os.path.join(self.args.out, name)
+        self._outputs[path] = _inode(path)
+        return path
+
+    def derived(self, **values) -> None:
+        self._derived.update(values)
+
+    def finish(self) -> None:
+        manifest = {
+            "command": self.args.command,
+            "seed": self.seed,
+            "inputs": self._inputs,
+            "outputs": {os.path.basename(path): _checksum_file(path)
+                        for path in self._outputs},
+            "settings": {k: v for k, v in vars(self.args).items() if k != "func"},
+            "derived": self._derived,
+            "environment": _environment(self.row_slices, self._regions),
+        }
+        _write_json(os.path.join(self.args.out, "manifest.json"), manifest)
+
+    def discard(self) -> None:
+        """Remove each output this run wrote (atomic_write gives it a new
+        inode) unless it is an input too, whose old bytes are already gone;
+        an earlier manifest.json once an earlier file is replaced; then each
+        directory made for --out, deepest first, while that is empty."""
+        inputs = {os.path.realpath(p) for p in self._inputs}
+        stale = []
+        for path, before in self._outputs.items():
+            if _inode(path) == before:
+                continue
+            if os.path.realpath(path) not in inputs:
+                stale.append(path)
+            if before is not None:  # an earlier run's file: its manifest is stale
+                stale.append(os.path.join(self.args.out, "manifest.json"))
+        for path in stale:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        with contextlib.suppress(OSError):  # rmdir refuses a directory with files
+            for path in self._missing:
+                os.rmdir(path)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +195,8 @@ def _write_manifest(args, seed: int, inputs: list, outputs: list[str],
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    regions = worker_regions()
-    with open_text(args.config) as fh:
+def cmd_train(args, run: _Run) -> str:
+    with open_text(run.input(args.config)) as fh:
         config = parse_train_config(fh.read())
     if args.seed is not None:
         config.seed = args.seed
@@ -151,19 +204,17 @@ def cmd_train(args) -> int:
         config.steps = args.steps
     config.validate()
 
-    inputs = [args.config]
     start_step = 0
     optimizer = None
 
     if args.resume is not None:
-        model, arrays = _load_model(args.resume)
+        model, arrays = _load_model(run.input(args.resume))
         if model.config != preset(config.preset):
             raise UsageError(f"config preset={config.preset} does not match "
                              f"the model config in {args.resume}")
         start_step = read_count(arrays, "train.step")
         optimizer = Adam(dict(model.named_parameters()), lr=config.lr)
         optimizer.load_state(arrays)
-        inputs.append(args.resume)
     else:
         model = DDTModel(preset(config.preset), seed=config.seed)
 
@@ -171,7 +222,9 @@ def cmd_train(args) -> int:
         raise UsageError(f"checkpoint already at step {start_step}, "
                          f"nothing to do for steps={config.steps}")
 
-    os.makedirs(args.out, exist_ok=True)
+    # registered before step 1, so a bad --out exits 3 before training
+    ckpt_path = run.output("checkpoint.ckpt")
+    metrics_path = run.output("metrics.csv")
     dataset = dataset_for(config.dataset, model.config)
     history, optimizer = train(
         model, dataset, steps=config.steps, batch_size=config.batch,
@@ -179,20 +232,17 @@ def cmd_train(args) -> int:
         lr=config.lr, optimizer=optimizer, start_step=start_step,
         label_drop=config.label_drop)
 
-    ckpt_path = os.path.join(args.out, "checkpoint.ckpt")
     arrays = dict(model.state_arrays())
     arrays.update(optimizer.state_arrays())
     arrays["train.step"] = np.array([float(config.steps)])
     save_checkpoint(ckpt_path, model.config, arrays)
-    metrics_path = os.path.join(args.out, "metrics.csv")
     write_metrics_csv(metrics_path, history, start_step=start_step)
-    _write_manifest(args, config.seed, inputs, ["checkpoint.ckpt", "metrics.csv"],
-                    _environment(row_slices(config.batch), regions),
-                    config=dataclasses.asdict(config), start_step=start_step)
+    run.seed = config.seed
+    run.row_slices = row_slices(config.batch)
+    run.derived(config=dataclasses.asdict(config), start_step=start_step)
     last = history[-1]
-    print(f"trained {config.steps - start_step} steps; "
-          f"loss_dec {last.loss_dec:.4f} loss_enc {last.loss_enc:.4f}")
-    return 0
+    return (f"trained {config.steps - start_step} steps; "
+            f"loss_dec {last.loss_dec:.4f} loss_enc {last.loss_enc:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +258,22 @@ def _budget_from_ratio(num_steps: int, ratio: float) -> int:
     return max(1, math.ceil(round(num_steps * (1.0 - ratio), 9)))
 
 
-def cmd_sample(args) -> int:
-    regions = worker_regions()
+def cmd_sample(args, run: _Run) -> str:
     try:
         guidance = GuidanceSpec(w=args.cfg_w, interval=tuple(args.cfg_interval))
     except ValueError as exc:
         raise UsageError(f"--cfg-interval: {exc}") from None
 
-    model, _ = _load_model(args.checkpoint)
-    inputs = [args.checkpoint]
+    model, _ = _load_model(run.input(args.checkpoint))
 
     # the grid first: a --steps too large for memory fails here, before
     # plan_uniform's loop over the anchors
     grid = make_timegrid(args.steps, shift=args.shift)
     plan = None
     if args.plan is not None:
-        plan, _ = read_plan(args.plan)
+        plan, _ = read_plan(run.input(args.plan))
         if plan.N != args.steps:
             raise UsageError(f"plan covers N={plan.N} steps but --steps is {args.steps}")
-        inputs.append(args.plan)
     elif args.share_ratio is not None:
         plan = plan_uniform(args.steps, _budget_from_ratio(args.steps, args.share_ratio))
 
@@ -253,16 +300,13 @@ def cmd_sample(args) -> int:
         "steps": args.steps,
         "budget": args.steps if plan is None else plan.K,
     }
-    os.makedirs(args.out, exist_ok=True)
-    with atomic_write(os.path.join(args.out, "samples.npy"), binary=True) as fh:
+    with atomic_write(run.output("samples.npy"), binary=True) as fh:
         np.save(fh, samples)
-    _write_json(os.path.join(args.out, "eval.json"), report)
-    _write_manifest(args, args.seed, inputs, ["samples.npy", "eval.json"],
-                    _environment(row_slices(args.num), regions))
-    print(f"sampled {args.num}; mmd {report['mmd']:.4f} "
-          f"(noise baseline {report['mmd_noise_baseline']:.4f}); "
-          f"nfe enc/dec {model.nfe_encoder}/{model.nfe_decoder}")
-    return 0
+    _write_json(run.output("eval.json"), report)
+    run.row_slices = row_slices(args.num)
+    return (f"sampled {args.num}; mmd {report['mmd']:.4f} "
+            f"(noise baseline {report['mmd_noise_baseline']:.4f}); "
+            f"nfe enc/dec {model.nfe_encoder}/{model.nfe_decoder}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,32 +314,18 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _probe_checkpoint(args) -> SimilarityMatrix:
-    """Step similarity along the checkpoint's conditional, unguided
-    trajectory from a seeded probe batch (no CFG: see `plan --help`)."""
-    model, _ = _load_model(args.checkpoint)
-    cfg = model.config
-    shape = (args.probe_size, cfg.channels, cfg.image_size, cfg.image_size)
-    x0 = substream(args.seed, "probe").standard_normal(shape)
-    y = substream(args.seed, "probe-labels").integers(
-        0, cfg.num_classes, size=args.probe_size)
-    grid = make_timegrid(args.steps, shift=args.shift)
-    return probe_similarity(model, x0, grid, y, solver=args.solver)
-
-
-def _probe_slices(args) -> int | None:
-    """The row slices of a probe's field calls, or None when no probe ran."""
-    return None if args.checkpoint is None else row_slices(args.probe_size)
-
-
-def cmd_plan(args) -> int:
-    regions = worker_regions()
-    _refuse_idle_probe_flags(args)
+def cmd_plan(args, run: _Run) -> str:
+    # nothing is probed without --checkpoint: refuse a probe flag off its default
+    defaults = vars(_probe_parser().parse_args([]))
+    idle = ["--" + d.replace("_", "-") for d, default in defaults.items()
+            if args.checkpoint is None and getattr(args, d) != default]
+    if idle:
+        raise UsageError(f"{', '.join(idle)} would do nothing without --checkpoint")
 
     # N and the budget are known before any probe, so a bad pair exits 2
     # before the probe runs or --out is made
     if args.similarity is not None:
-        sim = read_similarity(args.similarity)
+        sim = read_similarity(run.input(args.similarity))
         n = sim.N
     else:
         n = args.steps
@@ -308,8 +338,16 @@ def cmd_plan(args) -> int:
         raise UsageError(f"--strategy bruteforce needs N <= {BRUTEFORCE_MAX_N} "
                          f"steps, got {n}")
     if args.checkpoint is not None:
-        sim = _probe_checkpoint(args)
-    inputs = [args.similarity if args.similarity is not None else args.checkpoint]
+        # a seeded probe batch on the conditional, unguided field (plan --help)
+        model, _ = _load_model(run.input(args.checkpoint))
+        cfg = model.config
+        shape = (args.probe_size, cfg.channels, cfg.image_size, cfg.image_size)
+        x0 = substream(args.seed, "probe").standard_normal(shape)
+        y = substream(args.seed, "probe-labels").integers(
+            0, cfg.num_classes, size=args.probe_size)
+        grid = make_timegrid(args.steps, shift=args.shift)
+        sim = probe_similarity(model, x0, grid, y, solver=args.solver)
+        run.row_slices = row_slices(args.probe_size)
 
     if args.strategy == "uniform":
         plan = plan_uniform(n, k)
@@ -320,18 +358,12 @@ def cmd_plan(args) -> int:
     else:
         plan = plan_bruteforce(sim, k)
 
-    os.makedirs(args.out, exist_ok=True)
-    plan_path = os.path.join(args.out, "plan.txt")
-    write_plan(plan_path, plan, checksum=similarity_checksum(sim))
-    outputs = ["plan.txt"]
+    write_plan(run.output("plan.txt"), plan, checksum=similarity_checksum(sim))
     if args.checkpoint is not None:
-        write_similarity(os.path.join(args.out, "similarity.npy"), sim)
-        outputs.append("similarity.npy")
-    _write_manifest(args, args.seed, inputs, outputs,
-                    _environment(_probe_slices(args), regions), N=n, K=k)
-    print(f"plan {args.strategy}: K={plan.K}/{n}, utility {plan.utility:.6f}, "
-          f"anchors {','.join(str(v) for v in plan.anchors)}")
-    return 0
+        write_similarity(run.output("similarity.npy"), sim)
+    run.derived(N=n, K=k)
+    return (f"plan {args.strategy}: K={plan.K}/{n}, utility {plan.utility:.6f}, "
+            f"anchors {','.join(str(v) for v in plan.anchors)}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +378,7 @@ def _data_profile(dataset, rng: np.random.Generator, trials: int) -> SpectrumPro
     return SpectrumProfile(radial_spectrum(x))
 
 
-def cmd_diagnose(args) -> int:
-    regions = worker_regions()
-    _refuse_idle_probe_flags(args, used=("seed",))  # the spectra's seed
+def cmd_diagnose(args, run: _Run) -> str:
     t_list = []
     for token in args.t_list.split(","):
         try:
@@ -367,12 +397,6 @@ def cmd_diagnose(args) -> int:
         if name in spectra:
             raise UsageError(f"--t-list entries {spectra[name]} and {t} both write {name}")
         spectra[name] = t
-    # a bad checkpoint fails here, before the output directory exists
-    sim = None if args.checkpoint is None else _probe_checkpoint(args)
-
-    os.makedirs(args.out, exist_ok=True)
-    inputs = [] if sim is None else [args.checkpoint]
-    outputs = []
 
     dataset = make_dataset(args.dataset)
     rng = substream(args.seed, "diagnose")
@@ -382,21 +406,9 @@ def cmd_diagnose(args) -> int:
         at_t = SpectrumProfile(profile.data_coefficients, lam=profile.lam, t=t)
         empirical = empirical_noisy_spectrum(
             clean, t, substream(args.seed, f"diagnose-noise/{t:.6g}"))
-        write_spectrum_csv(os.path.join(args.out, name), at_t, empirical)
-        outputs.append(name)
-
-    if sim is not None:
-        # plot-ready heatmap: N rows of N comma-separated values
-        with atomic_write(os.path.join(args.out, "similarity.csv")) as fh:
-            for row in sim.S:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        write_similarity(os.path.join(args.out, "similarity.npy"), sim)
-        outputs.extend(["similarity.csv", "similarity.npy"])
-
-    _write_manifest(args, args.seed, inputs, outputs,
-                    _environment(_probe_slices(args), regions), t_list=t_list)
-    print(f"wrote {len(outputs)} diagnostic files to {args.out}")
-    return 0
+        write_spectrum_csv(run.output(name), at_t, empirical)
+    run.derived(t_list=t_list)
+    return f"wrote {len(spectra)} diagnostic files to {args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +417,7 @@ def cmd_diagnose(args) -> int:
 
 
 def _probe_parser() -> argparse.ArgumentParser:
-    """The probe flags plan and diagnose share."""
+    """plan's probe flags."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--seed", type=int, default=0,
                        help="seed of every random draw")
@@ -418,16 +430,6 @@ def _probe_parser() -> argparse.ArgumentParser:
     probe.add_argument("--probe-size", type=int, default=8,
                        help="probe batch size (with --checkpoint)")
     return probe
-
-
-def _refuse_idle_probe_flags(args, used=()) -> None:
-    """Without --checkpoint nothing is probed: refuse a probe flag set away
-    from its declared default, unless the command also reads it (`used`)."""
-    defaults = vars(_probe_parser().parse_args([]))
-    idle = ["--" + d.replace("_", "-") for d, default in defaults.items()
-            if args.checkpoint is None and d not in used and getattr(args, d) != default]
-    if idle:
-        raise UsageError(f"{', '.join(idle)} would do nothing without --checkpoint")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,13 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--out", default="runs/plan")
     p_plan.set_defaults(func=cmd_plan)
 
-    p_diag = sub.add_parser("diagnose", parents=[probe],
-                            help="spectral and similarity dumps")
+    p_diag = sub.add_parser("diagnose", help="noisy-spectrum dumps of a dataset")
+    p_diag.add_argument("--seed", type=int, default=0,
+                        help="seed of every random draw")
     p_diag.add_argument("--dataset", choices=DATASETS, default="bandlimited")
-    p_diag.add_argument("--checkpoint", default=None,
-                        help="also probe step similarity of this model "
-                             "(conditional, unguided field) and write it as "
-                             "similarity.csv and similarity.npy")
     p_diag.add_argument("--t-list", default="0.1,0.3,0.5,0.7,0.9",
                         help="comma-separated mixing times")
     p_diag.add_argument("--trials", type=int, default=2000,
@@ -540,10 +539,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    made_out = not os.path.exists(args.out)
+    run = _Run(args)
     try:
         _check_minimums(args)
-        return args.func(args)
+        summary = args.func(args, run)
+        run.finish()
+        print(summary)
+        return 0
     except UsageError as exc:
         message, code = f"usage error: {exc}", 2
     except MemoryError as exc:
@@ -555,10 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         message, code = "interrupted", 130
     print(message, file=sys.stderr)
-    if made_out:
-        # only while it is still empty: rmdir refuses a directory with files
-        with contextlib.suppress(OSError):
-            os.rmdir(args.out)
+    run.discard()
     return code
 
 
