@@ -1,4 +1,4 @@
-"""Parallel regions: the row slices of sampling field calls and training
+"""Parallel regions: the row slices of sampling requests and training
 steps.
 
 Independent calls run side by side through ``parallel_calls``: the first
@@ -12,9 +12,9 @@ on copies of its arguments: in the worker, copies that crossed through a
 shared memory arena (its results come back the same way); in the
 caller, fresh objects over the caller's arrays. Its two callers cut a
 batch into ``row_slices(rows)`` contiguous slices, a count set by the
-batch size alone, and pass each slice the model itself: a sampling field
-call (samplers.model_velocity_field) and a training step
-(train.train_step). The model knows nothing about slices or processes.
+batch size alone, and pass each slice the model itself: a sampling
+request (samplers._integrate) and a training step (train.train_step).
+The model knows nothing about slices or processes.
 """
 
 from __future__ import annotations
@@ -179,7 +179,8 @@ class _Arena:
         and trim thresholds in a fresh worker, as a long-running caller's
         already are, so the worker's heap is not handed back to the OS
         between regions: in a 64-row field call its slice took 7.4k minor
-        faults a call on views of the arena, and none on the block."""
+        faults a call on views of the arena, and none on the block. A fresh
+        worker's first sampling request runs whole before the first free."""
         if size != self.size:
             self._map(size)
         offsets = _offsets(sizes)
@@ -272,11 +273,9 @@ class _Worker:
             os.close(replies_w)
         self.requests, self.replies = os.fdopen(requests_w, "wb"), os.fdopen(replies_r, "rb")
         self.arena = _Arena(arena_fd)
-        self.pending = False  # a request whose reply is not yet read
 
     def submit(self, calls) -> None:
         request = self.arena.put(list(calls))
-        self.pending = True
         try:
             _send(self.requests, (request, is_grad_enabled(), np.geterr()))
         except BrokenPipeError:
@@ -287,16 +286,12 @@ class _Worker:
         reply = _receive(self.replies)
         if reply is None:
             raise self._died()
-        result = self.arena.take(*reply)
-        self.pending = False
-        return result
+        return self.arena.take(*reply)
 
     def _died(self) -> RuntimeError:
-        global _worker
-        _worker = None
-        code = self.stop(grace=1.0)
+        _stop_worker(grace=1.0)  # self is the module's one worker
         return RuntimeError(f"the row-slice worker process {self.process.pid} died "
-                            f"(exit code {code}) during a parallel region")
+                            f"(exit code {self.process.returncode}) during a parallel region")
 
     def close(self) -> None:
         """Close this process's ends of the pipes and its arena."""
@@ -377,7 +372,9 @@ def parallel_calls(calls: Sequence[Callable[[], object]]) -> list:
     Meanwhile BLAS runs on one thread in both processes, so they never
     run more compute threads than BLAS was allowed; the count is restored
     afterwards, also when a call raises. One region runs at a time, and a
-    call's exception is re-raised in the caller with its type and message.
+    call's exception is re-raised in the caller with its type and message;
+    when calls[0] raises or an interrupt lands, the worker is killed, not
+    waited for.
 
     With one BLAS thread, or none whose count can be read and set, the
     calls run in the caller, one after another, and a copy is fresh
@@ -395,16 +392,15 @@ def parallel_calls(calls: Sequence[Callable[[], object]]) -> list:
         before = controls[0]()
         controls[1](1)
         try:
-            if _worker is not None and _worker.pending:
-                _stop_worker(grace=0.0)  # a cut-short region left a reply unread
             if _worker is None:
                 _worker = _Worker()
             _worker.submit(calls[1:])
             _worker_regions += 1
-            try:
-                first = calls[0]()
-            finally:
-                status, rest = _worker.collect()
+            first = calls[0]()
+            status, rest = _worker.collect()
+        except BaseException:  # never wait out calls whose reply no one reads
+            _stop_worker(grace=0.0)
+            raise
         finally:
             controls[1](before)
     if status == "error":

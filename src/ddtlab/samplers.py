@@ -1,8 +1,9 @@
 """ODE samplers for the linear flow.
 
-Time runs from t=0 (pure noise) to t=1 (data). Velocity fields are plain
+Time runs from t=0 (pure noise) to t=1 (data). Velocity fields are
 callables (x, t) -> v on numpy arrays, so analytic oracle fields and the
-trained model share one integration code path.
+trained model share one solver loop; a solve over the model's field is
+one request, its row slices each solved whole in one parallel region.
 
 The multistep scheme pre-integrates Lagrange basis polynomials over each
 step interval, turning the history of velocity evaluations into constant
@@ -151,6 +152,32 @@ SOLVER_ORDERS = {"euler": 1, "adams2": 2, "adams3": 3}
 
 
 def _integrate(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int) -> np.ndarray:
+    """The solve of euler_sample and adams_sample. Over a model field it is
+    one request: x_0 and the labels are cut into parallel.row_slices(B)
+    slices, each solved whole on a field of its own by the solver loop
+    (_solve_slice, never cut again), in one parallel_calls region. Slice 0
+    runs on the model itself, so its NFE counters count the request once;
+    x and the kept z join the slices' rows in order. Other fields solve
+    as they are."""
+    if not isinstance(velocity_field, _ModelField):
+        return _solve(velocity_field, x_0, grid, order)
+    f, edges = velocity_field, slice_edges(len(x_0))
+    y = np.broadcast_to(f.y, (len(x_0),))
+    results = parallel_calls([
+        partial(_solve_slice, _ModelField(f.model, y[lo:hi], f.guidance, f.anchor_times,
+                                          f.anchor_z is not None), x_0[lo:hi], grid, order)
+        for lo, hi in zip(edges, edges[1:])])
+    xs, zs = zip(*results)
+    if f.anchor_z is not None:
+        f.anchor_z.extend(map(np.concatenate, zip(*zs)))
+    return np.concatenate(xs)
+
+
+def _solve_slice(field: _ModelField, x_0: np.ndarray, grid: TimeGrid, order: int):
+    return _solve(field, x_0, grid, order), field.anchor_z
+
+
+def _solve(velocity_field, x_0: np.ndarray, grid: TimeGrid, order: int) -> np.ndarray:
     """The one solver loop: explicit linear multistep with pre-integrated
     coefficients, one field call per step.
 
@@ -225,64 +252,42 @@ def velocity_to_score(v, x_t, t: float) -> np.ndarray:
 
 
 def model_velocity_field(model, y, guidance: GuidanceSpec | None = None,
-                         anchor_times=None, on_encode=None):
-    """Wrap a model as a sampler-compatible field (x, t) -> v on a batch x
-    of [B, C, H, W] with labels y (length B, or 1 for all rows).
+                         anchor_times=None):
+    """A model as a sampler-compatible field (x, t) -> v on a batch x of
+    [B, C, H, W] with labels y (length B, or 1 for all rows).
 
     With guidance, the conditional and the null-class branch both run and
     are combined; without it, or at weight 1 (one branch), only the
-    conditional branch runs, bit for bit. The encoder
-    runs at every call when anchor_times is None; otherwise only when t is
-    one of anchor_times, and the calls in between reuse the last z of each
+    conditional branch runs, bit for bit. The encoder runs at every call
+    when anchor_times is None; otherwise only when t is one of
+    anchor_times, and the calls in between reuse the last z of each
     branch, so full sampling is the plan whose every step is an anchor.
-    on_encode(z) receives the conditional z as an array each time the
-    encoder runs.
+    A call runs the model on all of x, under no_grad; a solve over the
+    field runs its row slices whole (_integrate)."""
+    return _ModelField(model, y, guidance, anchor_times)
 
-    Each call cuts x and y into parallel.row_slices(B) contiguous row
-    slices. A slice runs its encodes, decodes and guidance branch with
-    its own z, all slices in one parallel.parallel_calls region
-    (_run_slice). Slice 0 runs on the model itself and the others on
-    copies, so the model's NFE counters count each call once, by slice
-    0's calls; every slice makes the same calls. A call that raises may
-    leave slice 0's counts on the model. The field keeps each slice's z
-    between anchors and hands it back on the calls that reuse it. v and
-    the z given to on_encode are joined in slice order. The slices depend
-    on B alone, so v does not depend on the thread count."""
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if guidance is not None and guidance.branches == 1:
-        guidance = None
-    held: list[dict | None] = []  # per slice, the z of each branch
 
-    def field(x: np.ndarray, t: float) -> np.ndarray:
-        encode = anchor_times is None or float(t) in anchor_times
-        edges = slice_edges(len(x))
-        if encode:
-            held[:] = [None] * (len(edges) - 1)
-        y_rows = np.broadcast_to(y, (len(x),))
+class _ModelField:
+    """model_velocity_field's field: z holds each branch's z ("c", and "u"
+    with guidance) between anchors, and anchor_z, if kept, each anchor's "c"."""
+
+    def __init__(self, model, y, guidance, anchor_times, keep_z=False):
+        self.model, self.y = model, np.atleast_1d(np.asarray(y, dtype=np.int64))
+        self.guidance = None if guidance is None or guidance.branches == 1 else guidance
+        self.anchor_times, self.z = anchor_times, None
+        self.anchor_z = [] if keep_z else None
+
+    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+        model, guidance = self.model, self.guidance
         with no_grad():
-            results = parallel_calls([
-                partial(_run_slice, model, x[lo:hi], t, y_rows[lo:hi], guidance, z)
-                for z, lo, hi in zip(held, edges, edges[1:])])
-        vs, held[:] = zip(*results)
-        if encode and on_encode is not None:
-            on_encode(np.concatenate([z["c"].data for z in held]))
-        if anchor_times is None:
-            held.clear()  # no call reuses z, so none is held between calls
-        return np.concatenate(vs)
-
-    return field
-
-
-def _run_slice(model, x, t, y, guidance: GuidanceSpec | None, z: dict | None):
-    """One row slice of a field call: (v, z), where z holds the encoder's
-    output for the conditional branch ("c") and, with guidance, the
-    null-class branch ("u"). Given z, the call reuses it and the encoder
-    does not run."""
-    if z is None:
-        z = {"c": model.encode(x, t, y)[0]}
-        if guidance is not None:
-            z["u"] = model.encode(x, t, np.full_like(y, model.config.null_class))[0]
-    v = model.decode(x, t, z["c"]).data
-    if guidance is not None:
-        v = guidance.velocity(v, model.decode(x, t, z["u"]).data, t)
-    return v, z
+            if self.anchor_times is None or float(t) in self.anchor_times:
+                y = np.broadcast_to(self.y, (len(x),))
+                self.z = {"c": model.encode(x, t, y)[0]}
+                if guidance is not None:
+                    self.z["u"] = model.encode(x, t, np.full_like(y, model.config.null_class))[0]
+                if self.anchor_z is not None:
+                    self.anchor_z.append(self.z["c"].data)
+            v = model.decode(x, t, self.z["c"]).data
+            if guidance is not None:
+                v = guidance.velocity(v, model.decode(x, t, self.z["u"]).data, t)
+        return v

@@ -258,9 +258,8 @@ def probe_similarity(model, probe_x0: np.ndarray, grid: TimeGrid, y,
     if x0.ndim != 4 or x0.shape[0] < 1:
         raise ValueError("probe batch must be a non-empty [P,C,H,W] array")
     zs: list[np.ndarray] = []
-    sample_with_sharing(model, x0, grid, None, y, solver=solver,
-                        on_encode=lambda z: zs.append(z.reshape(x0.shape[0], -1).copy()))
-    z = np.stack(zs)  # [N, P, D]
+    sample_with_sharing(model, x0, grid, None, y, solver=solver, on_encode=zs.append)
+    z = np.stack(zs).reshape(len(zs), x0.shape[0], -1)  # [N, P, D]
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
     zn = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0.0)
     s = np.einsum("ipd,jpd->ij", zn, zn) / z.shape[1]
@@ -282,17 +281,15 @@ def sharing_nfe(steps: int, plan: SharingPlan | None = None,
 def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid,
                         plan: SharingPlan | None, y,
                         guidance: GuidanceSpec | None = None,
-                        solver: str = "euler", recorder=None,
-                        on_encode=None) -> np.ndarray:
+                        solver: str = "euler", on_encode=None) -> np.ndarray:
     """One sampling request, and the one solve in ddtlab: the ODE with
     encoder sharing. plan=None makes every step an anchor, which is full
-    sampling; guidance of one branch is none. on_encode(z) gets the
-    conditional z at each anchor (model_velocity_field), and a
-    TrajectoryRecorder given as recorder watches the field. The solvers
-    are called by this module's names for them, so a caller that rebinds
-    those names sees every solve. NumericalError unless the model's NFE
-    counters rose by sharing_nfe during the solve (they are read, never
-    reset)."""
+    sampling; guidance of one branch is none. After the solve, on_encode(z)
+    gets each anchor's conditional z in step order, the row slices' rows
+    joined. The solvers are called by this module's names for them, so a
+    caller that rebinds those names sees every solve. NumericalError
+    unless the model's NFE counters rose by sharing_nfe during the solve
+    (they are read, never reset)."""
     if solver not in SOLVER_ORDERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {sorted(SOLVER_ORDERS)}")
     anchor_times = None
@@ -300,9 +297,8 @@ def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid,
         if plan.N != grid.steps:
             raise ValueError(f"plan covers {plan.N} steps but grid has {grid.steps}")
         anchor_times = {float(grid.nodes[i]) for i in plan.anchors}
-    field = model_velocity_field(model, y, guidance, anchor_times, on_encode)
-    if recorder is not None:
-        field = recorder.watch(field)
+    field = model_velocity_field(model, y, guidance, anchor_times)
+    field.anchor_z = None if on_encode is None else []  # z is kept only when asked
     encoder, decoder = model.nfe_encoder, model.nfe_decoder
     if solver == "euler":
         x = euler_sample(field, x_0, grid)
@@ -312,6 +308,8 @@ def sample_with_sharing(model, x_0: np.ndarray, grid: TimeGrid,
     expected = sharing_nfe(grid.steps, plan, guidance)
     if made != expected:
         raise NumericalError(f"encoder/decoder NFE {made} != closed form {expected}")
+    for z in field.anchor_z or ():
+        on_encode(z)
     return x
 
 

@@ -6,9 +6,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 
 import ddtlab
 import ddtlab.cli as cli
+from ddtlab import parallel
 from ddtlab.cli import build_parser, main
 from ddtlab.files import atomic_write
 from ddtlab.model import (
@@ -533,6 +537,39 @@ def _sample_in_subprocess(ckpt, out, thread_env: dict, *extra: str) -> None:
     _cli_in_subprocess(["sample", "--checkpoint", str(ckpt), "--steps", "3",
                         "--num", "32", "--cfg-w", "1.5", "--seed", "4",
                         "--out", str(out), *extra], thread_env)
+
+
+def _needs_worker():
+    threads = parallel.blas_threads()
+    if threads is None or threads < 2:
+        pytest.skip("row slices run in a worker only with two or more BLAS threads")
+
+
+def test_an_interrupted_two_slice_sample_exits_130_at_once(tmp_path, tiny_ckpt, capsys):
+    """The interrupt lands in slice 0's solve of a long 64-row request: the
+    worker's slice is killed, not waited for, and no --out is left."""
+    _needs_worker()
+    parallel.parallel_calls([partial(abs, -1.0)] * 2)  # the worker is up
+    worker = parallel._worker
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    out = tmp_path / "o"
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        start = time.monotonic()
+        code = main(["sample", "--checkpoint", str(tiny_ckpt), "--num", "64",
+                     "--steps", "20000", "--out", str(out)])
+        surfaced = time.monotonic() - start - 0.5
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 130 and capsys.readouterr().err == "interrupted\n"
+    assert surfaced < 2.0
+    assert worker.process.poll() is not None and parallel._worker is None
+    assert not out.exists()
 
 
 def test_sample_row_slices_match_one_blas_thread(tmp_path):

@@ -355,7 +355,7 @@ def _needs_worker():
 
 class TestRowParallel:
     """parallel.parallel_calls, the one region that the row slices of a
-    field call or a training step run in: calls[0] in the caller, the
+    sampling request or a training step run in: calls[0] in the caller, the
     others in one worker process when BLAS has two or more threads."""
 
     def test_blas_threads_restored_also_when_a_slice_raises(self):
@@ -502,6 +502,33 @@ class TestRowParallel:
         assert parallel.parallel_calls([partial(_sleep_then, k, 0.0)
                                         for k in ("a", "b")]) == ["a", "b"]
 
+    def test_an_interrupt_stops_the_worker_at_once(self):
+        # the interrupt lands in the caller's call while the worker's call
+        # sleeps; the region must not wait that call out
+        _needs_worker()
+        parallel.parallel_calls([partial(_double, 0.0)] * 2)  # the worker is up
+        worker = parallel._worker
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                parallel.parallel_calls([partial(_sleep_then, "first", 30.0),
+                                         partial(_sleep_then, "worker", 30.0)])
+            surfaced = time.monotonic() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert surfaced < 2.0
+        assert worker.process.poll() is not None  # exited, and reaped
+        assert parallel.parallel_calls([partial(_sleep_then, k, 0.0)
+                                        for k in ("a", "b")]) == ["a", "b"]
+        assert parallel._worker is not worker
+
     def test_a_dying_worker_is_an_error_and_the_next_region_starts_anew(self):
         _needs_worker()
         with pytest.raises(RuntimeError, match="worker process .* died"):
@@ -525,7 +552,7 @@ class TestRowParallel:
 
     @pytest.mark.parametrize("end", ["exit", "kill"])
     def test_no_worker_outlives_its_parent(self, end):
-        """A process runs one 64-row field call, prints its worker's pid
+        """A process runs a one-step 64-row request, prints its worker's pid
         and exits, or is killed. Either way the worker has exited within
         seconds, and reading the process's stdout and stderr to their end
         returns, so the worker held neither. This test process is a child
@@ -535,11 +562,11 @@ class TestRowParallel:
         code = (
             "import os, sys, time, numpy as np\n"
             "from ddtlab.model import DDTModel, preset\n"
-            "from ddtlab.samplers import model_velocity_field\n"
+            "from ddtlab.samplers import euler_sample, make_timegrid, model_velocity_field\n"
             "model = DDTModel(preset('desk'), seed=0)\n"
             "c = model.config\n"
             "x = np.zeros((64, c.channels, c.image_size, c.image_size))\n"
-            "model_velocity_field(model, 1)(x, 0.5)\n"
+            "euler_sample(model_velocity_field(model, 1), x, make_timegrid(1))\n"
             "print(open(f'/proc/self/task/{os.getpid()}/children').read(), flush=True)\n"
             "if sys.argv[1] == 'kill':\n"
             "    time.sleep(120)\n")
@@ -567,11 +594,11 @@ class TestRowParallel:
 
     def test_model_call_restores_blas_threads(self):
         from ddtlab.model import DDTModel, preset
-        from ddtlab.samplers import model_velocity_field
+        from ddtlab.samplers import euler_sample, model_velocity_field
         before = parallel.blas_threads()
         model = DDTModel(preset("desk"), seed=0)
         x = np.random.default_rng(3).standard_normal((64, 1, 8, 8))
-        model_velocity_field(model, 1)(x, 0.5)
+        euler_sample(model_velocity_field(model, 1), x, make_timegrid(1))
         assert parallel.blas_threads() == before
 
 

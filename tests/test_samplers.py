@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddtlab import parallel, samplers
+from ddtlab import parallel, samplers, sharesched
 from ddtlab.errors import NumericalError
 from ddtlab.model import DDTModel, ModelConfig
 from ddtlab.samplers import (
@@ -359,36 +359,41 @@ class TestModelField:
 
 
 class TestSlicedField:
-    """A field call cuts its batch into parallel.row_slices(B) row slices
-    (two from 24 rows), each on its own model view and z."""
+    """A solve over a model field is one sampling request: its batch is
+    cut into parallel.row_slices(B) row slices (two from 24 rows), and
+    each slice runs the whole solve on a field of its own, all slices in
+    one parallel region."""
 
     _model = TestModelField._model
 
     @pytest.mark.parametrize("guided", [False, True])
     @pytest.mark.parametrize("labels", ["per-row", "one"])
-    def test_call_equals_its_halves_alone(self, guided, labels):
+    def test_request_equals_its_halves_solved_alone(self, guided, labels):
         model = self._model()
         rows = 33
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((rows, 1, 4, 4))
+        x0 = rng.standard_normal((rows, 1, 4, 4))
         y = rng.integers(0, 3, rows) if labels == "per-row" else np.array([2])
         y_rows = np.broadcast_to(y, (rows,))
         spec = GuidanceSpec(w=1.5) if guided else None
+        grid = make_timegrid(6, 1.0)
         assert parallel.row_slices(rows) == 2
-        zs = []
-        v = model_velocity_field(model, y, spec, on_encode=zs.append)(x, 0.5)
-        parts = []
-        for lo, hi in ((0, rows // 2), (rows // 2, rows)):
-            assert parallel.row_slices(hi - lo) == 1
-            part_z = []
-            part_v = model_velocity_field(model, y_rows[lo:hi], spec,
-                                          on_encode=part_z.append)(x[lo:hi], 0.5)
-            parts.append((part_v, part_z[0]))
-        assert np.array_equal(v, np.concatenate([p[0] for p in parts]))
-        assert len(zs) == 1
-        assert np.array_equal(zs[0], np.concatenate([p[1] for p in parts]))
-        branches = 2 if guided else 1
-        assert (model.nfe_encoder, model.nfe_decoder) == (3 * branches, 3 * branches)
+        for plan in (None, sharesched.plan_uniform(6, 3)):
+            zs = []
+            x = sharesched.sample_with_sharing(model, x0, grid, plan, y, spec,
+                                               on_encode=zs.append)
+            halves = []
+            for lo, hi in ((0, rows // 2), (rows // 2, rows)):
+                assert parallel.row_slices(hi - lo) == 1
+                half_z = []
+                half_x = sharesched.sample_with_sharing(model, x0[lo:hi], grid, plan,
+                                                        y_rows[lo:hi], spec,
+                                                        on_encode=half_z.append)
+                halves.append((half_x, half_z))
+            assert np.array_equal(x, np.concatenate([h[0] for h in halves]))
+            assert len(zs) == (grid.steps if plan is None else plan.K)
+            for k, z in enumerate(zs):
+                assert np.array_equal(z, np.concatenate([h[1][k] for h in halves]))
 
     @pytest.mark.parametrize("guided", [False, True])
     def test_reused_field_matches_fresh_fields(self, guided):
@@ -398,22 +403,19 @@ class TestSlicedField:
         spec = GuidanceSpec(w=1.5) if guided else None
         rng = np.random.default_rng(9)
         x_big, x_small = rng.standard_normal((32, 1, 4, 4)), rng.standard_normal((8, 1, 4, 4))
-        reused_z = []
-        reused = model_velocity_field(model, [1], spec, anchor_times=anchors,
-                                      on_encode=reused_z.append)
+        reused = model_velocity_field(model, [1], spec, anchor_times=anchors)
         for x0 in (x_big, x_small):
-            reused_z.clear()
-            fresh_z = []
-            fresh = model_velocity_field(model, [1], spec, anchor_times=anchors,
-                                         on_encode=fresh_z.append)
+            reused.anchor_z = []
+            fresh = model_velocity_field(model, [1], spec, anchor_times=anchors)
+            fresh.anchor_z = []
             assert np.array_equal(euler_sample(reused, x0, grid),
                                   euler_sample(fresh, x0, grid))
-            assert len(reused_z) == len(fresh_z) == 3
-            for got, want in zip(reused_z, fresh_z):
+            assert len(reused.anchor_z) == len(fresh.anchor_z) == 3
+            for got, want in zip(reused.anchor_z, fresh.anchor_z):
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("guided", [False, True])
-    def test_one_parallel_region_per_step(self, guided, monkeypatch):
+    def test_one_parallel_region_per_request(self, guided, monkeypatch):
         regions = []
         honest = samplers.parallel_calls
 
@@ -425,11 +427,61 @@ class TestSlicedField:
         model = self._model()
         spec = GuidanceSpec(w=1.5) if guided else None
         x0 = np.random.default_rng(10).standard_normal((32, 1, 4, 4))
-        euler_sample(model_velocity_field(model, [0], spec), x0, make_timegrid(5, 1.0))
-        assert regions == [2] * 5
+        grid = make_timegrid(5, 1.0)
+        requests = [
+            lambda: euler_sample(model_velocity_field(model, [0], spec), x0, grid),
+            lambda: adams_sample(model_velocity_field(model, [0], spec), x0, grid, order=2),
+            lambda: sharesched.sample_with_sharing(model, x0, grid, None, [0], spec),
+            lambda: sharesched.sample_with_sharing(model, x0, grid, sharesched.plan_uniform(5, 2),
+                                                   [0], spec, solver="adams3"),
+        ]
+        for request in requests:
+            regions.clear()
+            request()
+            assert regions == [2]
+        threads = parallel.blas_threads()
+        if threads is not None and threads > 1:  # the later slice runs in the worker
+            x0 = np.random.default_rng(11).standard_normal((64, 1, 4, 4))
+            before = parallel.worker_regions()
+            for k in (1, 2):
+                euler_sample(model_velocity_field(model, [0], spec), x0, grid)
+                assert parallel.worker_regions() == before + k
+
+    def test_a_slice_is_never_cut_again(self):
+        # row_slices(24) is 2, so a slice cut again would make 12-row calls
+        model = self._model()
+        assert parallel.row_slices(24) == 2
+        rows_seen = []
+        for name in ("encode", "decode"):
+            def seen(x, *args, honest=getattr(model, name)):
+                rows_seen.append(len(x))
+                return honest(x, *args)
+
+            setattr(model, name, seen)  # on this model alone: copies leave it
+        x0 = np.random.default_rng(12).standard_normal((48, 1, 4, 4))
+        sharesched.sample_with_sharing(model, x0, make_timegrid(3, 1.0), None, [1],
+                                       GuidanceSpec(w=1.5))
+        assert rows_seen == [24] * 12  # 3 steps of 2 encodes and 2 decodes
 
 
 class TestRecorder:
+    @pytest.mark.parametrize("solver", ["euler", "adams2"])
+    @pytest.mark.parametrize("shift", [1.0, 2.0], ids=["uniform", "shifted"])
+    def test_watch_rows_follow_the_grid(self, shift, solver):
+        grid = make_timegrid(6, shift)
+        x0 = np.random.default_rng(14).normal(size=(2, 1, 4, 4))
+        field = gaussian_field(0.7)
+
+        def solve(f):
+            return euler_sample(f, x0, grid) if solver == "euler" else adams_sample(f, x0, grid, 2)
+
+        rec = TrajectoryRecorder()
+        x = solve(rec.watch(field))
+        assert [row[0] for row in rec.rows] == list(range(grid.steps))
+        assert [row[1] for row in rec.rows] == grid.nodes[:-1].tolist()
+        assert rec.rows[0][2] == np.linalg.norm(x0)
+        assert np.array_equal(x, solve(field))
+
     def test_csv_rows(self, tmp_path):
         rec = TrajectoryRecorder()
         grid = make_timegrid(4, 1.0)

@@ -14,7 +14,6 @@ from ddtlab.errors import FormatError, NumericalError
 from ddtlab.model import DDTModel, ModelConfig
 from ddtlab.samplers import (
     GuidanceSpec,
-    TrajectoryRecorder,
     adams_sample,
     euler_sample,
     make_timegrid,
@@ -520,21 +519,6 @@ def test_sharing_with_adams_solver_runs():
     with pytest.raises(ValueError, match="unknown solver"):
         sample_with_sharing(model, x0, grid, plan_uniform(6, 3), y=[0],
                             solver="heun")
-
-
-@pytest.mark.parametrize("solver", ["euler", "adams2"])
-@pytest.mark.parametrize("plan", [None, plan_uniform(6, 3)], ids=["full", "uniform"])
-def test_sharing_recorder_rows_follow_the_grid(solver, plan):
-    model = nudged_model()
-    grid = make_timegrid(6, shift=2.0)
-    x0 = np.random.default_rng(14).normal(size=(2, 1, 4, 4))
-    rec = TrajectoryRecorder()
-    x = sample_with_sharing(model, x0, grid, plan, [0, 1], solver=solver, recorder=rec)
-    assert [row[0] for row in rec.rows] == list(range(grid.steps))
-    assert [row[1] for row in rec.rows] == grid.nodes[:-1].tolist()
-    assert rec.rows[0][2] == np.linalg.norm(x0)
-    assert np.array_equal(x, sample_with_sharing(model, x0, grid, plan, [0, 1],
-                                                 solver=solver))
 
 
 def test_sharing_plan_grid_mismatch():
